@@ -31,6 +31,7 @@ from .errors import (
     DomainError,
     ImpossibleSubtractionError,
     OrderRangeError,
+    SamplingError,
     SubVacuumVarianceError,
     TruncationError,
     UnsupportedModelError,
@@ -53,6 +54,7 @@ _MODEL_DOMAIN_ERRORS = (
     UnsupportedModelError,
     OrderRangeError,
     TruncationError,
+    SamplingError,
 )
 
 

@@ -45,6 +45,10 @@ class BinningError(PhotonKitError, ValueError):
     """A goodness-of-fit binning became degenerate."""
 
 
+class SamplingError(PhotonKitError, RuntimeError):
+    """A sampler's internal guarantee failed, so its output would be biased."""
+
+
 class PoolExhaustedError(PhotonKitError, RuntimeError):
     """A Monte-Carlo photon pool cannot supply the requested survivors."""
 

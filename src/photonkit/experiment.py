@@ -25,19 +25,17 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CampaignError, DomainError, PoolExhaustedError
+from .errors import CampaignError, DomainError, PhotonKitError, PoolExhaustedError
 from .inference import REPORT_COLUMNS, FitResult, mle_fit, report_row
-from .photon_stats import CorrelationReport, PhotonModel, pgf_derivative
+from .photon_stats import CorrelationReport, PhotonModel, pgf_derivative, pmf_values
 from .quadrature import (
     QuadratureSample,
     quadrature_pdf,
-    sample_counts,
     sample_for_counts,
     sample_quadratures,
 )
 from .subtraction import (
     autocorr_from_means,
-    mc_subtract,
     subtract_analytic,
     subtract_finite_p,
 )
@@ -51,7 +49,6 @@ DEFAULT_SAMPLE_SIZES = (
 POOL_CAP = 10**8
 
 _POOL_OVERSIZE = 20.0
-_POOL_CHUNK = 1 << 20
 
 
 class CampaignMode(str, Enum):
@@ -146,10 +143,23 @@ def _chain_acceptance(thermal: PhotonModel, m: int, p: float) -> float:
     return acceptance
 
 
+def _mc_survivor_hist(
+    thermal: PhotonModel, m: int, pool: int, p: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Photon-number histogram of the ``pool`` source draws surviving m passes."""
+    probs = pmf_values(thermal)
+    hist = rng.multinomial(pool, probs / probs.sum())
+    k = np.arange(hist.size)
+    herald = k * p * (1.0 - p) ** (k - 1.0)  # exactly one of k photons reflects
+    for _ in range(m):
+        hist = rng.binomial(hist, herald[: hist.size])[1:]
+    return hist
+
+
 def _mc_stage_counts(
     thermal: PhotonModel, m: int, needed: int, p: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Photon numbers surviving m conditioning steps, drawn in chunks."""
+    """Photon numbers surviving m conditioning steps, in random order."""
     acceptance = _chain_acceptance(thermal, m, p)
     budget = math.ceil(_POOL_OVERSIZE * needed / acceptance)
     if budget > POOL_CAP:
@@ -157,23 +167,13 @@ def _mc_stage_counts(
             f"stage m={m} needs a pool of ~{budget:.3g} source draws "
             f"(chain acceptance {acceptance:.3g}); cap is {POOL_CAP:.0g}"
         )
-    survivors = []
-    drawn = got = 0
-    while got < needed and drawn < budget:
-        size = min(_POOL_CHUNK, budget - drawn)
-        counts = sample_counts(thermal, size, rng)
-        drawn += size
-        for _ in range(m):
-            if counts.size == 0:
-                break
-            counts, _ = mc_subtract(counts, p, rng)
-        survivors.append(counts)
-        got += counts.size
-    if got < needed:
+    hist = _mc_survivor_hist(thermal, m, budget, p, rng)
+    if hist.sum() < needed:
         raise PoolExhaustedError(
-            f"stage m={m}: {got} survivors from {drawn} draws, needed {needed}"
+            f"stage m={m}: {hist.sum()} survivors from {budget} draws, needed {needed}"
         )
-    return np.concatenate(survivors)[:needed]
+    kept = rng.multivariate_hypergeometric(hist, needed)
+    return rng.permutation(np.repeat(np.arange(kept.size), kept))
 
 
 @dataclass(frozen=True)
@@ -225,9 +225,11 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Run the subtraction / sampling / reconstruction pipeline.
 
     One stage per m in [0, m_max]; each stage gets its own child seed so
-    results are reproducible stage by stage.  Any stage failure aborts
-    the campaign with a :class:`CampaignError` carrying the completed
-    stages as a partial payload.
+    results are reproducible stage by stage.  A stage that raises a
+    :class:`PhotonKitError` aborts the campaign with a
+    :class:`CampaignError` carrying the completed stages as a partial
+    payload; any other exception is a programming error and propagates
+    as it is.
     """
     thermal = PhotonModel.compound_poisson(config.mu0, config.a0)
     children = np.random.SeedSequence(config.seed).spawn(config.m_max + 2)
@@ -246,7 +248,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
                 counts = _mc_stage_counts(thermal, m, size, config.p, pool_rng)
                 sample = sample_for_counts(counts, stage_rng)
             fit = mle_fit(sample, reference=ideal)
-        except Exception as exc:
+        except PhotonKitError as exc:
             raise CampaignError(
                 f"stage m={m} failed: {exc}",
                 partial=_partial_payload(labels, fits),

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, OrderRangeError
+from .errors import DomainError, OrderRangeError, SamplingError
 from .photon_stats import MAX_FOCK_CUTOFF, ModelKind, PhotonModel, fock_cutoff, moments, pmf_values
 
 #: Quadrature variance of the vacuum state in this convention.
@@ -286,7 +286,7 @@ def _sample_fock(k: int, size: int, rng) -> np.ndarray:
         proposal = np.exp(-z * z / (2.0 * sigma * sigma)) / (sigma * math.sqrt(2.0 * math.pi))
         ratio = target / (m_k * proposal)
         if ratio.max() > 1.0:
-            raise RuntimeError(
+            raise SamplingError(
                 f"rejection envelope violated at k={k}: ratio {ratio.max():.3f}"
             )
         accepted = z[rng.random(n_prop) < ratio]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from photonkit import PhotonModel, load_samples, sample_quadratures, save_samples
+from photonkit import quadrature
 from photonkit.cli import main
 
 
@@ -179,6 +180,17 @@ def test_quiet_suppresses_diagnostics(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert err == ""
+
+
+def test_sample_violated_envelope_is_model_domain_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(quadrature, "_ENVELOPE_COEFF", 0.1)
+    out = tmp_path / "draws.csv"
+    code, _, err = run_cli(
+        capsys, "sample", "--mu", "3", "--a", "1", "--n", "100", "--seed", "1",
+        "--out", str(out),
+    )
+    assert code == 4
+    assert "envelope violated" in err
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from photonkit import (
     CampaignConfig,
@@ -12,13 +13,26 @@ from photonkit import (
     CampaignMode,
     DomainError,
     PhotonModel,
+    PoolExhaustedError,
     compare_models,
+    mc_subtract,
+    pmf_values,
     quadrature_pdf,
     run_campaign,
+    sample_counts,
     sample_quadratures,
     subtract_analytic,
+    subtract_finite_p,
 )
-from photonkit.experiment import DEFAULT_SAMPLE_SIZES
+from photonkit import experiment
+from photonkit.experiment import (
+    DEFAULT_SAMPLE_SIZES,
+    _chain_acceptance,
+    _mc_stage_counts,
+    _mc_survivor_hist,
+)
+
+THERMAL = PhotonModel.compound_poisson(3.034, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +195,123 @@ def test_monte_carlo_pool_exhaustion_carries_partial_results():
     partial = err.value.partial
     assert partial["completed"] == ["m=0", "m=1", "m=2"]
     assert len(partial["fits"]) == 3
+
+
+def test_campaign_wraps_only_package_errors(monkeypatch):
+    config = CampaignConfig(m_max=1, sample_sizes=(2_000, 2_000), seed=3)
+    real_fit = experiment.mle_fit
+
+    def broken_fit(sample, reference=None):
+        raise ZeroDivisionError("bug in the fit")
+
+    monkeypatch.setattr(experiment, "mle_fit", broken_fit)
+    with pytest.raises(ZeroDivisionError):
+        run_campaign(config)
+
+    def fit_then_domain_error(sample, reference=None):
+        if reference.a > 1.0:
+            raise DomainError("stage rejected")
+        return real_fit(sample, reference=reference)
+
+    monkeypatch.setattr(experiment, "mle_fit", fit_then_domain_error)
+    with pytest.raises(CampaignError) as err:
+        run_campaign(config)
+    assert isinstance(err.value.__cause__, DomainError)
+    assert "m=1" in str(err.value)
+    assert err.value.partial["completed"] == ["m=0"]
+    assert len(err.value.partial["fits"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# Monte-Carlo photon pool
+
+
+def _finite_p_chain(p: float, m: int) -> PhotonModel:
+    model = THERMAL
+    for _ in range(m):
+        model = subtract_finite_p(model, p)
+    return model
+
+
+def _tv(counts: np.ndarray, probs: np.ndarray) -> float:
+    size = max(int(counts.max()) + 1, probs.size)
+    empirical = np.bincount(counts, minlength=size) / counts.size
+    return 0.5 * float(np.abs(empirical - np.pad(probs, (0, size - probs.size))).sum())
+
+
+@pytest.mark.parametrize("p, deepest", [(0.05, 5), (0.01, 2)])
+def test_mc_pool_survivors_follow_finite_p_chain(p, deepest):
+    # five independent stages of 1000 survivors each, for every m whose
+    # pool fits under POOL_CAP
+    rng = np.random.default_rng(17)
+    ref_rng = np.random.default_rng(18)
+    tested = []
+    for m in range(11):
+        try:
+            counts = np.concatenate(
+                [_mc_stage_counts(THERMAL, m, 1000, p, rng) for _ in range(5)]
+            )
+        except PoolExhaustedError:
+            break
+        tested.append(m)
+        probs = pmf_values(_finite_p_chain(p, m))
+        probs = probs / probs.sum()
+        k = np.arange(probs.size)
+        mean = float(k @ probs)
+        sd = math.sqrt(float((k - mean) ** 2 @ probs))
+        assert abs(counts.mean() - mean) < 4.0 * sd / math.sqrt(counts.size)
+        expected_tv = np.mean(
+            [_tv(ref_rng.choice(probs.size, counts.size, p=probs), probs)
+             for _ in range(50)]
+        )
+        assert _tv(counts, probs) < 3.0 * expected_tv
+    assert tested == list(range(deepest + 1))
+
+
+def _merged_bins(*samples, min_total=20):
+    """Counts per photon number, neighbours merged until each bin holds min_total."""
+    size = max(int(s.max()) for s in samples) + 1
+    table = np.array([np.bincount(s, minlength=size) for s in samples])
+    columns, pending = [], np.zeros(len(samples), dtype=np.int64)
+    for column in table.T:
+        pending = pending + column
+        if pending.sum() >= min_total:
+            columns.append(pending)
+            pending = np.zeros_like(pending)
+    columns[-1] = columns[-1] + pending
+    return np.array(columns).T
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_mc_pool_matches_per_draw_chain(m):
+    p = 0.05
+    rng = np.random.default_rng(100 + m)
+    pool = math.ceil(4000 / _chain_acceptance(THERMAL, m, p))
+    per_draw = sample_counts(THERMAL, pool, rng)
+    for _ in range(m):
+        per_draw, _ = mc_subtract(per_draw, p, rng)
+    histogram = _mc_stage_counts(THERMAL, m, 4000, p, rng)
+    table = _merged_bins(per_draw, histogram)
+    assert stats.chi2_contingency(table).pvalue > 1e-3
+    se = math.sqrt(per_draw.var() / per_draw.size + histogram.var() / histogram.size)
+    assert abs(per_draw.mean() - histogram.mean()) < 4.0 * se
+
+
+@pytest.mark.parametrize("p", [0.05, 0.01])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_mc_pool_acceptance_matches_chain_prediction(m, p):
+    pool = 10**8
+    rng = np.random.default_rng(m)
+    survivors = int(_mc_survivor_hist(THERMAL, m, pool, p, rng).sum())
+    predicted = _chain_acceptance(THERMAL, m, p)
+    se = math.sqrt(predicted * (1.0 - predicted) / pool)
+    assert abs(survivors / pool - predicted) < 4.0 * se
+
+
+def test_mc_stage_counts_are_shuffled():
+    counts = _mc_stage_counts(THERMAL, 1, 5000, 0.05, np.random.default_rng(4))
+    assert counts.size == 5000
+    assert np.any(np.diff(counts) < 0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ from scipy import integrate, stats
 
 from photonkit import (
     DomainError,
+    PhotonKitError,
     PhotonModel,
+    SamplingError,
     hermite_function,
     load_samples,
     quadrature_cdf,
@@ -20,6 +22,7 @@ from photonkit import (
     sample_quadratures,
     save_samples,
 )
+from photonkit import quadrature
 
 THERMAL = PhotonModel.compound_poisson(3.034, 1.0)
 
@@ -223,6 +226,14 @@ def test_sample_quadratures_validation():
         sample_quadratures(THERMAL, 0, np.random.default_rng(0))
     with pytest.raises(DomainError):
         sample_counts(THERMAL, -5, np.random.default_rng(0))
+
+
+def test_violated_envelope_raises_sampling_error(monkeypatch):
+    monkeypatch.setattr(quadrature, "_ENVELOPE_COEFF", 0.1)
+    with pytest.raises(SamplingError, match="envelope violated") as err:
+        sample_for_counts(np.array([0, 3, 3]), np.random.default_rng(0))
+    assert isinstance(err.value, PhotonKitError)
+    assert isinstance(err.value, RuntimeError)
 
 
 def test_sample_variance_tracks_model():
