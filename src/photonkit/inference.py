@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import optimize
 
 from .errors import (
     BinningError,
@@ -172,7 +172,9 @@ def method_of_moments(samples) -> tuple[float, float]:
             f"sample variance {s2:.4f} does not exceed the vacuum variance 0.5"
         )
     mu = s2 - VACUUM_VARIANCE
-    beta2 = float(stats.kurtosis(x, fisher=True, bias=True))
+    # Biased excess kurtosis, in the operation order of scipy.stats.kurtosis.
+    sq = (x - x.mean()) ** 2
+    beta2 = float(np.mean(sq**2) / np.mean(sq) ** 2.0 - 3.0)
     denom = 6.0 * mu * mu + beta2 * (2.0 * mu + 1.0) ** 2
     if denom == 0.0:
         return mu, math.inf
@@ -399,7 +401,30 @@ def chi2_test(samples, model: PhotonModel, n_params_fitted: int = 0) -> float:
     dof = expected.size - 1 - n_params_fitted
     if dof < 1:
         raise BinningError(f"no degrees of freedom left ({expected.size} bins)")
-    return float(stats.chi2.sf(statistic, dof))
+    return _chi2_sf(statistic, dof)
+
+
+def _chi2_sf(x: float, dof: int) -> float:
+    """Upper tail P(chi^2_dof > x) for an integer number of degrees of freedom.
+
+    Finite series of the regularized upper incomplete gamma function:
+    e^(-x/2) sum_{i<dof/2} (x/2)^i / i! for even dof, and for odd dof
+    erfc(sqrt(x/2)) plus the terms (x/2)^(i+1/2) e^(-x/2) / Gamma(i+3/2)
+    for i < (dof - 1)/2.  Each term is evaluated in log space, so the
+    sum neither overflows nor loses its small terms.
+    """
+    if x <= 0.0:
+        return 1.0
+    half = 0.5 * x
+    log_half = math.log(half)
+    if dof % 2 == 0:
+        total, offset = 0.0, 0.0
+    else:
+        total, offset = math.erfc(math.sqrt(half)), 0.5
+    for i in range(dof // 2):
+        p = i + offset
+        total += math.exp(p * log_half - half - math.lgamma(p + 1.0))
+    return min(total, 1.0)
 
 
 def fidelity(model_a: PhotonModel, model_b: PhotonModel) -> float:
@@ -415,12 +440,12 @@ def fidelity(model_a: PhotonModel, model_b: PhotonModel) -> float:
     count = max(fock_cutoff(model_a), fock_cutoff(model_b)) + 1
     pa = pmf_values(model_a, count)
     pb = pmf_values(model_b, count)
-    if pa.sum() < 1.0 - 1e-6 or pb.sum() < 1.0 - 1e-6:
+    sa, sb = pa.sum(), pb.sum()
+    if sa < 1.0 - 1e-6 or sb < 1.0 - 1e-6:
         raise TruncationError("fidelity truncation lost more than 1e-6 mass")
-    # Renormalize on the common support so identical models give exactly 1.
-    pa = pa / pa.sum()
-    pb = pb / pb.sum()
-    root = float(np.sqrt(pa * pb).sum())
+    # Renormalize on the common support after summing, so identical
+    # models give S / sqrt(S * S) = 1 exactly.
+    root = float(np.sqrt(pa * pb).sum() / math.sqrt(sa * sb))
     return min(root * root, 1.0)
 
 

@@ -39,7 +39,6 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats
 
 from ._series import series_exp, series_log
 from .errors import (
@@ -53,6 +52,10 @@ TAIL_MASS = 1e-10
 
 #: Hard ceiling on the truncated Fock dimension.
 MAX_FOCK_CUTOFF = 4096
+
+#: The geometric bound on the uncomputed tail must fall this far below
+#: ``TAIL_MASS`` before the cutoff is read off the computed tail.
+_TAIL_SLACK = 1e-6
 
 #: Largest supported autocorrelation order.
 MAX_ORDER = 20
@@ -228,15 +231,70 @@ class CorrelationReport:
 # internal helpers
 
 
-def _scipy_dist(model: PhotonModel):
-    """Frozen scipy distribution for the closed-form kinds."""
-    if model.kind is ModelKind.COMPOUND_POISSON:
-        return stats.nbinom(model.a, model.a / (model.a + model.mu))
-    if model.kind is ModelKind.POISSON:
-        return stats.poisson(model.mu)
+def _shape(model: PhotonModel) -> float:
+    """Shape c = 1/a of a closed-form kind: 0 for Poisson, -1/n for binomial Fock."""
+    return 0.0 if model.kind is ModelKind.POISSON else 1.0 / model.a
+
+
+def _closed_form_pmf(model: PhotonModel, count: int) -> np.ndarray:
+    """P(0), ..., P(count - 1) for the closed-form kinds.
+
+    In the shape c the three kinds share ln P(0) = -ln(1 + mu c) / c
+    (-mu at c = 0) and P(j + 1) / P(j) = (1 + j c) mu / ((j + 1)(1 + mu c)),
+    so the whole vector is one cumulative sum of log-ratios, exponentiated
+    once.  Binomial entries past n are 0.
+    """
+    mu, c = model.mu, _shape(model)
+    if c < 0.0 and (mu == model.n or mu * c <= -1.0):
+        # Pure Fock state: 1 + mu c = 0 (up to rounding), a point mass at n.
+        return (np.arange(count) == model.n).astype(float)
+    size = count if c >= 0.0 else min(count, model.n + 1)
+    j = np.arange(size - 1, dtype=float)
+    logs = np.full(count, -np.inf)
+    logs[0] = -mu if c == 0.0 else -math.log1p(mu * c) / c
+    logs[1:size] = np.log1p(j * c) + math.log(mu) - np.log1p(j) - math.log1p(mu * c)
+    np.cumsum(logs[:size], out=logs[:size])
+    return np.exp(logs)
+
+
+def _closed_form_pass(model: PhotonModel) -> tuple[np.ndarray, int]:
+    """Number distribution of a closed-form kind and its Fock cutoff.
+
+    The tail P(X > k) is a reverse cumulative sum of the computed
+    probabilities plus a geometric bound P(K) q / (1 - q) on the mass past
+    the last index K, where q = max(P(K + 1) / P(K), mu c / (1 + mu c))
+    bounds every later ratio (the ratio is monotone in j with that
+    limit).  The length doubles until the bound is negligible against
+    ``TAIL_MASS`` or the mass past the ceiling alone reaches it.
+    """
     if model.kind is ModelKind.BINOMIAL_FOCK:
-        return stats.binom(model.n, model.mu / model.n)
-    raise AssertionError("no scipy distribution for hierarchy models")
+        return _closed_form_pmf(model, model.n + 1), model.n
+    mu, c = model.mu, _shape(model)
+    muc = mu * c
+    length = int(mu + 12.0 * math.sqrt(mu * (1.0 + muc))) + 24
+    if muc > 0.0:
+        # Room for a geometric tail of ratio mu c / (1 + mu c) to fall by e^-37.
+        length = max(length, int(37.0 / math.log1p(1.0 / muc)) + 24)
+    length = min(length, 2 * MAX_FOCK_CUTOFF + 2)
+    while True:
+        probs = _closed_form_pmf(model, length)
+        ratio = (1.0 + (length - 1) * c) * mu / (length * (1.0 + muc))
+        q = max(ratio, muc / (1.0 + muc))
+        rest = probs[-1] * q / (1.0 - q) if q < 1.0 else math.inf
+        if (
+            rest < _TAIL_SLACK * TAIL_MASS
+            or probs[MAX_FOCK_CUTOFF + 1:].sum() >= TAIL_MASS
+            or length > 2 * MAX_FOCK_CUTOFF
+        ):
+            break
+        length *= 2
+    tail = np.cumsum(np.append(rest, probs[:0:-1]))[::-1]
+    k = int(np.argmax(tail < TAIL_MASS))
+    if not tail[k] < TAIL_MASS or k > MAX_FOCK_CUTOFF:
+        raise TruncationError(
+            f"Fock cutoff exceeds the ceiling {MAX_FOCK_CUTOFF} for mu={mu:g}"
+        )
+    return probs, k
 
 
 @lru_cache(maxsize=256)
@@ -322,25 +380,7 @@ def fock_cutoff(model: PhotonModel) -> int:
         return model.n
     if model.kind is ModelKind.HIERARCHY:
         return _hierarchy_cutoff(model)
-    dist = _scipy_dist(model)
-    guess = dist.isf(TAIL_MASS)
-    if not math.isfinite(guess):
-        raise TruncationError("tail quantile not finite for these parameters")
-    k = max(int(guess), 0)
-    while dist.sf(k) >= TAIL_MASS:
-        k += 1
-        if k > MAX_FOCK_CUTOFF:
-            raise TruncationError(
-                f"Fock cutoff exceeds the ceiling {MAX_FOCK_CUTOFF} "
-                f"for mu={model.mu:g}"
-            )
-    while k > 0 and dist.sf(k - 1) < TAIL_MASS:
-        k -= 1
-    if k > MAX_FOCK_CUTOFF:
-        raise TruncationError(
-            f"Fock cutoff {k} exceeds the ceiling {MAX_FOCK_CUTOFF}"
-        )
-    return k
+    return _closed_form_pass(model)[1]
 
 
 def pmf_values(model: PhotonModel, count: int | None = None) -> np.ndarray:
@@ -350,6 +390,9 @@ def pmf_values(model: PhotonModel, count: int | None = None) -> np.ndarray:
     excluded tail is below ``TAIL_MASS``.
     """
     if count is None:
+        if model.kind is not ModelKind.HIERARCHY:
+            probs, cutoff = _closed_form_pass(model)
+            return probs[: cutoff + 1]
         count = fock_cutoff(model) + 1
     if count < 1:
         raise DomainError("count must be positive")
@@ -361,24 +404,14 @@ def pmf_values(model: PhotonModel, count: int | None = None) -> np.ndarray:
         coeffs = _hierarchy_taylor(model, count, 0.0)
         # Rounding can leave coefficients a hair below zero deep in the tail.
         return np.clip(coeffs, 0.0, None)
-    dist = _scipy_dist(model)
-    return dist.pmf(np.arange(count))
+    return _closed_form_pmf(model, count)
 
 
 def pmf(model: PhotonModel, k: int) -> float:
     """Probability of observing exactly ``k`` photons."""
     if k != int(k) or k < 0:
         raise DomainError(f"photon number must be a nonnegative integer, got {k}")
-    k = int(k)
-    if model.kind is ModelKind.HIERARCHY:
-        if k > MAX_FOCK_CUTOFF:
-            raise TruncationError(
-                f"k={k} lies beyond the Fock ceiling {MAX_FOCK_CUTOFF} for "
-                "hierarchy models"
-            )
-        coeffs = _hierarchy_taylor(model, k + 1, 0.0)
-        return float(max(coeffs[k], 0.0))
-    return float(_scipy_dist(model).pmf(k))
+    return float(pmf_values(model, int(k) + 1)[-1])
 
 
 def pgf_eval(model: PhotonModel, z: float) -> float:

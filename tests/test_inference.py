@@ -11,6 +11,7 @@ from photonkit import (
     FitMethod,
     PhotonModel,
     SubVacuumVarianceError,
+    TruncationError,
     chi2_test,
     fidelity,
     fisher_errors,
@@ -300,3 +301,37 @@ def test_hierarchy_fit_needs_enough_samples():
     sample = sample_quadratures(TRUTH, 999, 0)
     with pytest.raises(DomainError):
         fit_hierarchy2(sample)
+
+
+# ---------------------------------------------------------------------------
+# exact self-fidelity over the closed-form kinds
+
+
+def _self_fidelity_grid():
+    models = [
+        PhotonModel.compound_poisson(float(mu), float(a))
+        for mu in np.geomspace(0.01, 200.0, 14)
+        for a in np.geomspace(0.1, 1e5, 11)
+    ]
+    models += [PhotonModel.poisson(float(mu)) for mu in np.geomspace(0.01, 1000.0, 15)]
+    models += [
+        PhotonModel.binomial_fock(n, n * float(frac))
+        for n in (1, 2, 5, 17, 60)
+        for frac in (0.05, 0.3, 0.77, 1.0)
+    ]
+    models += [PhotonModel.compound_poisson(3.034, 1.0), PhotonModel.compound_poisson(5.983, 1.605)]
+    return models
+
+
+def test_fidelity_self_is_exactly_one_on_a_grid():
+    checked, misses = 0, []
+    for model in _self_fidelity_grid():
+        try:
+            value = fidelity(model, model)
+        except TruncationError:
+            continue  # heavy tails past the Fock ceiling
+        checked += 1
+        if value != 1.0:
+            misses.append(model)
+    assert misses == []
+    assert checked > 170
