@@ -24,9 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize
 
 from .errors import (
     BinningError,
@@ -181,14 +181,110 @@ def method_of_moments(samples) -> tuple[float, float]:
     return mu, 6.0 * mu * mu / denom
 
 
+class _Search(NamedTuple):
+    """End point of a simplex search."""
+
+    x: np.ndarray
+    fun: float
+    nfev: int
+    success: bool
+
+
+class _BudgetSpent(Exception):
+    """The search asked for an evaluation past its budget."""
+
+
+def _nelder_mead(fun, x0, bounds, xatol, fatol, maxiter, maxfev=math.inf) -> _Search:
+    """Bounded Nelder-Mead simplex search (Nelder & Mead 1965).
+
+    Standard coefficients: reflection 1, expansion 2, contraction 1/2,
+    shrink 1/2.  The start simplex steps each coordinate by 5 % (0.00025
+    from zero); a vertex above its upper bound is reflected back below it,
+    and every trial point is clipped into the box.  It stops once all
+    vertices lie within ``xatol`` of the best and their values within
+    ``fatol``, and fails after ``maxiter`` iterations or ``maxfev``
+    evaluations.  The arithmetic and its order are those of
+    ``scipy.optimize.minimize(method="Nelder-Mead", bounds=...)``, so the
+    search visits the same points and ends on the same bits.
+    """
+    lo = np.array([b[0] for b in bounds], dtype=float)
+    hi = np.array([b[1] for b in bounds], dtype=float)
+    x0 = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    dim = x0.size
+    sim = np.empty((dim + 1, dim))
+    sim[0] = x0
+    for k in range(dim):
+        y = x0.copy()
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
+    fsim = np.full(dim + 1, np.inf)
+    nfev = 0
+
+    def evaluate(point):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return float(fun(np.copy(point)))
+
+    def by_value(sim, fsim):
+        order = np.argsort(fsim)
+        return np.take(sim, order, 0), np.take(fsim, order, 0)
+
+    try:
+        for k in range(dim + 1):
+            fsim[k] = evaluate(sim[k])
+    except _BudgetSpent:
+        pass
+    # Two sorts, as in scipy's search.
+    sim, fsim = by_value(sim, fsim)
+    sim, fsim = by_value(sim, fsim)
+
+    iterations = 1
+    while nfev < maxfev and iterations < maxiter:
+        try:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / dim
+            xr = np.clip(2 * xbar - sim[-1], lo, hi)
+            fxr = evaluate(xr)
+            if fxr < fsim[0]:
+                xe = np.clip(3 * xbar - 2 * sim[-1], lo, hi)
+                fxe = evaluate(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = np.clip(1.5 * xbar - 0.5 * sim[-1], lo, hi)
+                    fxc = evaluate(xc)
+                    accept = fxc <= fxr
+                else:  # inside contraction
+                    xc = np.clip(0.5 * xbar + 0.5 * sim[-1], lo, hi)
+                    fxc = evaluate(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, dim + 1):
+                        sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), lo, hi)
+                        fsim[j] = evaluate(sim[j])
+            iterations += 1
+        except _BudgetSpent:
+            pass
+        sim, fsim = by_value(sim, fsim)
+
+    success = nfev < maxfev and iterations < maxiter
+    return _Search(x=sim[0], fun=float(np.min(fsim)), nfev=nfev, success=success)
+
+
 def _minimize_simplex(fun, t0, bounds):
-    return optimize.minimize(
-        fun,
-        t0,
-        method="Nelder-Mead",
-        bounds=bounds,
-        options={"xatol": 1e-6, "fatol": 1e-9, "maxiter": 4000, "maxfev": 8000},
-    )
+    return _nelder_mead(fun, t0, bounds, xatol=1e-6, fatol=1e-9, maxiter=4000, maxfev=8000)
 
 
 def _simplex_with_restart(fun, t0, bounds):
@@ -225,7 +321,9 @@ def mle_fit(samples, init=None, reference: PhotonModel | None = None) -> FitResu
     if init is None:
         mu0, a0 = method_of_moments(x)
         mu0 = float(np.clip(mu0, *_INIT_MU_CLAMP))
-        if not math.isfinite(a0):
+        if not math.isfinite(a0) or a0 <= 0.0:
+            # The kurtosis sits at or past the Poisson limit: start flat,
+            # not at the most bunched end of the box.
             a0 = _INIT_A_CLAMP[1]
         a0 = float(np.clip(a0, *_INIT_A_CLAMP))
     else:
@@ -249,10 +347,13 @@ def mle_fit(samples, init=None, reference: PhotonModel | None = None) -> FitResu
     )
     best, converged = _simplex_with_restart(objective, t0, bounds)
     mu_hat, a_hat = float(math.exp(best.x[0])), float(math.exp(best.x[1]))
+    best_found = {"mu": mu_hat, "a": a_hat, "log_likelihood": -float(best.fun)}
     if not converged:
+        raise ConvergenceError("simplex search did not converge", best=best_found)
+    if best.fun >= _PENALTY:
         raise ConvergenceError(
-            "simplex search did not converge",
-            best={"mu": mu_hat, "a": a_hat, "log_likelihood": -float(best.fun)},
+            f"no point of the search fits under the Fock dimension cap {LIKELIHOOD_DIM_CAP}",
+            best=best_found,
         )
     model = PhotonModel.compound_poisson(mu_hat, a_hat)
     sigma_mu, sigma_a, err_method = _parameter_errors(lik, model)
@@ -343,13 +444,7 @@ def _parameter_errors(lik: _QuadratureLikelihood, model: PhotonModel):
             except TruncationError:
                 return _PENALTY
 
-        res = optimize.minimize(
-            objective,
-            t_hat,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={"xatol": 1e-4, "fatol": 1e-6, "maxiter": 600},
-        )
+        res = _nelder_mead(objective, t_hat, bounds, xatol=1e-4, fatol=1e-6, maxiter=600)
         estimates[b] = np.exp(res.x)
     sigma = estimates.std(axis=0, ddof=1)
     return float(sigma[0]), float(sigma[1]), "bootstrap"

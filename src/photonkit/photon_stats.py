@@ -250,9 +250,16 @@ def _closed_form_pmf(model: PhotonModel, count: int) -> np.ndarray:
         return (np.arange(count) == model.n).astype(float)
     size = count if c >= 0.0 else min(count, model.n + 1)
     j = np.arange(size - 1, dtype=float)
+    if c < 0.0:
+        # 1 + mu c = (n - mu) / n: exact subtraction for mu >= n / 2, where
+        # forming it from c = fl(-1/n) would cancel away the digits.
+        n = model.n
+        log_base, log_steps = math.log((n - mu) / n), np.log((n - j) / n)
+    else:
+        log_base, log_steps = math.log1p(mu * c), np.log1p(j * c)
     logs = np.full(count, -np.inf)
-    logs[0] = -mu if c == 0.0 else -math.log1p(mu * c) / c
-    logs[1:size] = np.log1p(j * c) + math.log(mu) - np.log1p(j) - math.log1p(mu * c)
+    logs[0] = -mu if c == 0.0 else -log_base / c
+    logs[1:size] = log_steps + math.log(mu) - np.log1p(j) - log_base
     np.cumsum(logs[:size], out=logs[:size])
     return np.exp(logs)
 

@@ -7,6 +7,8 @@ import pytest
 
 from photonkit import (
     BinningError,
+    CampaignConfig,
+    ConvergenceError,
     DomainError,
     FitMethod,
     PhotonModel,
@@ -19,6 +21,7 @@ from photonkit import (
     method_of_moments,
     mle_fit,
     moments_fit,
+    run_campaign,
     sample_quadratures,
 )
 from photonkit.inference import A2_MAX
@@ -132,6 +135,24 @@ def test_mle_flags_boundary_pin():
     fit = mle_fit(sample)
     assert fit.boundary_pinned
     assert fit.model.a == pytest.approx(1e6, rel=1e-3)
+
+
+def test_mle_starts_flat_when_the_moment_estimate_of_a_is_negative():
+    # Stage m = 10 (358 samples) has a negative moment estimate of a.  A
+    # start at the bunched end of the box (a = 0.05) needs a Fock dimension
+    # past the cap there, and the search stalled on the penalty plateau.
+    fit = run_campaign(CampaignConfig(a0=10, seed=2)).fits[-1]
+    assert fit.model.a == pytest.approx(25.38, abs=0.01)
+    assert fit.log_likelihood == pytest.approx(-805.82, abs=0.01)
+    assert fit.error_method == "fisher"
+    assert fit.fidelity_vs_reference > 0.99
+
+
+def test_mle_never_returns_a_penalty_point():
+    sample = sample_quadratures(PhotonModel.compound_poisson(6.068, 20.0), 358, 2)
+    with pytest.raises(ConvergenceError) as info:
+        mle_fit(sample, init=(6.75, 0.05))
+    assert info.value.best["log_likelihood"] == -1e12
 
 
 def test_fit_result_serialisation(big_sample):

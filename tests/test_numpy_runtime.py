@@ -1,4 +1,4 @@
-"""The numpy replacements for scipy.stats on the runtime path."""
+"""The numpy replacements for scipy on the runtime path."""
 
 import subprocess
 import sys
@@ -41,3 +41,27 @@ def test_chi2_tail_matches_scipy():
 def test_import_leaves_scipy_stats_unloaded():
     code = "import sys, photonkit; assert 'scipy.stats' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, photonkit; assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+_NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from photonkit import (CampaignConfig, PhotonModel, fit_hierarchy2, mle_fit,
+                       run_campaign, sample_quadratures)
+sample = sample_quadratures(PhotonModel.compound_poisson(3.0, 2.0), 2000, 5)
+mle_fit(sample)
+fit_hierarchy2(sample)
+run_campaign(CampaignConfig(m_max=2, sample_sizes=(2000, 1500, 1000), seed=3))
+loaded = [name for name, mod in sys.modules.items()
+          if name.split(".")[0] == "scipy" and mod is not None]
+assert not loaded, loaded
+"""
+
+
+def test_fits_and_campaign_run_without_scipy():
+    subprocess.run([sys.executable, "-c", _NO_SCIPY], check=True, timeout=600)

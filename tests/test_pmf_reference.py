@@ -74,7 +74,12 @@ def test_poisson_pmf_matches_mpmath(mu):
 
 
 @pytest.mark.parametrize(
-    "n,mu", [(1, 0.3), (4, 2.0), (7, 4.0), (20, 19.5), (60, 0.5), (300, 150.0)]
+    "n,mu",
+    [
+        (1, 0.3), (4, 2.0), (7, 4.0), (20, 19.5), (60, 0.5), (300, 150.0),
+        # Near the Fock state, where 1 + mu c must not be formed from c = -1/n.
+        (50, 50.0 * (1.0 - 1e-9)), (400, 400.0 * (1.0 - 1e-6)),
+    ],
 )
 def test_binomial_pmf_matches_mpmath(n, mu):
     _assert_matches_reference(PhotonModel.binomial_fock(n, mu), n + 3)
