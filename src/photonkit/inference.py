@@ -12,11 +12,15 @@ Two estimation routes for the compound-Poisson family:
 
 The Hermite-function values at the sample points do not depend on the
 model parameters, so the likelihood caches them once and every
-evaluation reduces to a matrix-vector product.  Parameter errors come
-from the observed Fisher information (numerical Hessian of the negative
-log-likelihood), falling back to a nonparametric bootstrap when the
-Hessian is not positive definite.  Goodness of fit is an
-equal-probability-bin chi-squared test in quadrature space.
+evaluation reduces to a matrix-vector product.  Every likelihood fit,
+(mu, a) or (mu, a_1, a_2), is one masked search: a simplex search over
+the logarithms of the free parameters, the others held fixed, on one
+negative log-likelihood that scores points off the model family or past
+the Fock dimension cap with a penalty.  Parameter errors come from the
+observed Fisher information (numerical Hessian of that objective over
+the free parameters), falling back to a nonparametric bootstrap for
+(mu, a) when the Hessian is not positive definite.  Goodness of fit is
+an equal-probability-bin chi-squared test in quadrature space.
 """
 
 from __future__ import annotations
@@ -52,7 +56,11 @@ _DENSITY_FLOOR = 1e-300
 
 _LOG_MU_BOUNDS = (math.log(1e-2), math.log(1e3))
 _LOG_A_BOUNDS = (math.log(1e-2), math.log(1e6))
+_LOG_A1_BOUNDS = (math.log(0.05), math.log(1e3))
 _LOG_A2_BOUNDS = (math.log(0.1), math.log(1e6))
+#: Boxes of ln(mu, a) and of ln(mu, a1, a2).
+_LEVEL1_BOUNDS = [_LOG_MU_BOUNDS, _LOG_A_BOUNDS]
+_HIERARCHY_BOUNDS = [_LOG_MU_BOUNDS, _LOG_A1_BOUNDS, _LOG_A2_BOUNDS]
 _INIT_MU_CLAMP = (1e-2, 1e3)
 _INIT_A_CLAMP = (0.05, 1e3)
 
@@ -287,8 +295,11 @@ def _minimize_simplex(fun, t0, bounds):
     return _nelder_mead(fun, t0, bounds, xatol=1e-6, fatol=1e-9, maxiter=4000, maxfev=8000)
 
 
-def _simplex_with_restart(fun, t0, bounds):
-    """Simplex search restarted once from a perturbed point."""
+def _simplex_with_restart(fun, t0, bounds) -> _Search:
+    """Simplex search restarted once from a perturbed point.
+
+    Returns the better end point; ``success`` holds if either run converged.
+    """
     first = _minimize_simplex(fun, t0, bounds)
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
@@ -296,8 +307,7 @@ def _simplex_with_restart(fun, t0, bounds):
                         lo, hi)
     second = _minimize_simplex(fun, perturbed, bounds)
     best = first if first.fun <= second.fun else second
-    converged = bool(first.success or second.success)
-    return best, converged
+    return best._replace(success=bool(first.success or second.success))
 
 
 def _near_bounds(t: np.ndarray, bounds, tol: float = 1e-6) -> bool:
@@ -306,69 +316,106 @@ def _near_bounds(t: np.ndarray, bounds, tol: float = 1e-6) -> bool:
     )
 
 
+def _compound(theta) -> PhotonModel:
+    """Compound-Poisson model of theta = (mu, a)."""
+    return PhotonModel.compound_poisson(theta[0], theta[1])
+
+
+def _two_level(theta) -> PhotonModel:
+    """Two-level hierarchy of theta = (mu, a1, a2), with b_j = a_j / mu."""
+    mu, a1, a2 = theta
+    return PhotonModel.hierarchy(mu, (a1 / mu, a2 / mu))
+
+
+def _penalized_nll(lik: _QuadratureLikelihood, build, theta, weights=None) -> float:
+    """Negative log-likelihood of ``build(theta)``; ``_PENALTY`` off the model family."""
+    try:
+        return lik.nll(build(theta), weights)
+    except (TruncationError, DomainError):
+        return _PENALTY
+
+
+def _masked_search(lik: _QuadratureLikelihood, build, theta, free, bounds):
+    """Simplex search over ln theta[free], the other entries of theta held fixed.
+
+    ``bounds`` boxes every entry of ln theta.  Returns the full optimum
+    theta, the search and the box of the free entries.
+    """
+    theta = [float(v) for v in theta]
+    box = [bounds[i] for i in free]
+
+    def point(t):
+        # Plain floats: this runs on every evaluation.
+        full = theta.copy()
+        for i, ti in zip(free, t):
+            full[i] = math.exp(ti)
+        return full
+
+    t0 = np.clip([math.log(theta[i]) for i in free], [b[0] for b in box], [b[1] for b in box])
+    best = _simplex_with_restart(lambda t: _penalized_nll(lik, build, point(t)), t0, box)
+    return np.array(point(best.x)), best, box
+
+
+def _check_search(best: _Search, theta, names) -> None:
+    """Raise :class:`ConvergenceError`, with the point, unless the search ended on a fit."""
+    found = {**dict(zip(names, map(float, theta))), "log_likelihood": -float(best.fun)}
+    if not best.success:
+        raise ConvergenceError(
+            f"simplex search over ({', '.join(names)}) did not converge", best=found
+        )
+    if best.fun >= _PENALTY:
+        raise ConvergenceError(
+            "no point of the search has a finite likelihood "
+            f"(Fock dimension cap {LIKELIHOOD_DIM_CAP})",
+            best=found,
+        )
+
+
+def _moment_start(x: np.ndarray) -> list[float]:
+    """Start (mu, a) from the moment inversion, clamped into a safe box."""
+    mu0, a0 = method_of_moments(x)
+    if not math.isfinite(a0) or a0 <= 0.0:
+        # The kurtosis sits at or past the Poisson limit: start flat, not
+        # at the most bunched end of the box.
+        a0 = _INIT_A_CLAMP[1]
+    return [float(np.clip(mu0, *_INIT_MU_CLAMP)), float(np.clip(a0, *_INIT_A_CLAMP))]
+
+
 def mle_fit(samples, init=None, reference: PhotonModel | None = None) -> FitResult:
     """Maximum-likelihood fit of a compound-Poisson model.
 
     Derivative-free simplex search over (ln mu, ln a), initialized from
     the method of moments (clamped into a safe box) unless ``init`` is
     given.  Raises :class:`ConvergenceError` with the best point so far
-    if the search exhausts its iteration budget.
+    if the search exhausts its iteration budget or finds no point under
+    the Fock dimension cap.
     """
     x = _values(samples)
     n = x.size
     if n < 100:
         raise DomainError(f"maximum-likelihood fit needs at least 100 samples, got {n}")
     if init is None:
-        mu0, a0 = method_of_moments(x)
-        mu0 = float(np.clip(mu0, *_INIT_MU_CLAMP))
-        if not math.isfinite(a0) or a0 <= 0.0:
-            # The kurtosis sits at or past the Poisson limit: start flat,
-            # not at the most bunched end of the box.
-            a0 = _INIT_A_CLAMP[1]
-        a0 = float(np.clip(a0, *_INIT_A_CLAMP))
+        theta0 = _moment_start(x)
     else:
-        mu0, a0 = float(init[0]), float(init[1])
-        if mu0 <= 0.0 or a0 <= 0.0:
+        theta0 = [float(init[0]), float(init[1])]
+        if theta0[0] <= 0.0 or theta0[1] <= 0.0:
             raise DomainError("initial parameters must be positive")
 
     lik = _QuadratureLikelihood(x)
-    bounds = [_LOG_MU_BOUNDS, _LOG_A_BOUNDS]
-
-    def objective(t):
-        try:
-            return lik.nll(PhotonModel.compound_poisson(math.exp(t[0]), math.exp(t[1])))
-        except TruncationError:
-            return _PENALTY
-
-    t0 = np.clip(
-        [math.log(mu0), math.log(a0)],
-        [b[0] for b in bounds],
-        [b[1] for b in bounds],
-    )
-    best, converged = _simplex_with_restart(objective, t0, bounds)
-    mu_hat, a_hat = float(math.exp(best.x[0])), float(math.exp(best.x[1]))
-    best_found = {"mu": mu_hat, "a": a_hat, "log_likelihood": -float(best.fun)}
-    if not converged:
-        raise ConvergenceError("simplex search did not converge", best=best_found)
-    if best.fun >= _PENALTY:
-        raise ConvergenceError(
-            f"no point of the search fits under the Fock dimension cap {LIKELIHOOD_DIM_CAP}",
-            best=best_found,
-        )
-    model = PhotonModel.compound_poisson(mu_hat, a_hat)
+    theta_hat, best, box = _masked_search(lik, _compound, theta0, [0, 1], _LEVEL1_BOUNDS)
+    _check_search(best, theta_hat, ("mu", "a"))
+    model = _compound(theta_hat)
     sigma_mu, sigma_a, err_method = _parameter_errors(lik, model)
-    significance = chi2_test(x, model, n_params_fitted=2)
-    fid = None if reference is None else fidelity(model, reference)
     return FitResult(
         model=model,
         sigma_mu=sigma_mu,
         sigma_a=sigma_a,
         log_likelihood=-float(best.fun),
-        chi2_significance=significance,
+        chi2_significance=chi2_test(x, model, n_params_fitted=2),
         sample_size=n,
         method=FitMethod.MAX_LIKELIHOOD,
-        fidelity_vs_reference=fid,
-        boundary_pinned=_near_bounds(best.x, bounds),
+        fidelity_vs_reference=None if reference is None else fidelity(model, reference),
+        boundary_pinned=_near_bounds(best.x, box),
         error_method=err_method,
     )
 
@@ -410,41 +457,37 @@ def _invert_information(hess: np.ndarray) -> np.ndarray | None:
     return cov
 
 
+def _fisher_covariance(lik: _QuadratureLikelihood, build, theta: np.ndarray, free):
+    """Covariance of theta[free] (linear scale) from the observed information, or None."""
+
+    def nll(params):
+        merged = theta.copy()
+        merged[free] = params
+        return _penalized_nll(lik, build, merged)
+
+    return _invert_information(_observed_information(nll, theta[free]))
+
+
 def _parameter_errors(lik: _QuadratureLikelihood, model: PhotonModel):
     """(sigma_mu, sigma_a, method) via observed Fisher information.
 
     Falls back to a multinomial-weight bootstrap of the full fit when
     the numerical Hessian is not positive definite.
     """
-
-    def nll_params(theta):
-        try:
-            return lik.nll(PhotonModel.compound_poisson(theta[0], theta[1]))
-        except (TruncationError, DomainError):
-            return _PENALTY
-
     theta_hat = np.array([model.mu, model.a])
-    cov = _invert_information(_observed_information(nll_params, theta_hat))
+    cov = _fisher_covariance(lik, _compound, theta_hat, [0, 1])
     if cov is not None:
         return float(math.sqrt(cov[0, 0])), float(math.sqrt(cov[1, 1])), "fisher"
 
     rng = np.random.default_rng(_BOOTSTRAP_SEED)
     t_hat = np.log(theta_hat)
-    bounds = [_LOG_MU_BOUNDS, _LOG_A_BOUNDS]
     estimates = np.empty((_BOOTSTRAP_RESAMPLES, 2))
     for b in range(_BOOTSTRAP_RESAMPLES):
         weights = rng.multinomial(lik.n, np.full(lik.n, 1.0 / lik.n)).astype(float)
-
-        def objective(t):
-            try:
-                return lik.nll(
-                    PhotonModel.compound_poisson(math.exp(t[0]), math.exp(t[1])),
-                    weights=weights,
-                )
-            except TruncationError:
-                return _PENALTY
-
-        res = _nelder_mead(objective, t_hat, bounds, xatol=1e-4, fatol=1e-6, maxiter=600)
+        res = _nelder_mead(
+            lambda t: _penalized_nll(lik, _compound, [math.exp(ti) for ti in t], weights),
+            t_hat, _LEVEL1_BOUNDS, xatol=1e-4, fatol=1e-6, maxiter=600,
+        )
         estimates[b] = np.exp(res.x)
     sigma = estimates.std(axis=0, ddof=1)
     return float(sigma[0]), float(sigma[1]), "bootstrap"
@@ -602,10 +645,10 @@ def fit_hierarchy2(
 ) -> FitResult:
     """Fit a two-level hierarchy model by maximum likelihood.
 
-    Runs the level-1 fit first (its chi-squared significance is carried
-    in the result for comparison), then searches over
-    (mu, a_1, a_2) — or (mu, a_2) when ``fixed_a1`` is given — in log
-    space.
+    Runs the level-1 (mu, a) search first, on the same likelihood (its
+    chi-squared significance is carried in the result for comparison),
+    then searches over (mu, a_1, a_2) — or (mu, a_2) when ``fixed_a1``
+    is given — in log space.
 
     The two-level family contains the one-level family in the
     a_2 -> inf limit, so for data without a resolvable second level the
@@ -614,7 +657,9 @@ def fit_hierarchy2(
     free optimum against a constrained fit with a_2 held at its upper
     bound: unless freeing a_2 improves twice the log-likelihood by the
     chi-squared(1) 95% value, the bound solution is adopted and flagged
-    ``level1_sufficient`` — a semantic outcome, not a failure.
+    ``level1_sufficient`` — a semantic outcome, not a failure.  Raises
+    :class:`ConvergenceError` when the adopted search did not converge or
+    found no point under the Fock dimension cap.
     """
     x = _values(samples)
     n = x.size
@@ -622,99 +667,37 @@ def fit_hierarchy2(
         raise DomainError(f"hierarchy fit needs at least 1000 samples, got {n}")
     if fixed_a1 is not None and fixed_a1 <= 0.0:
         raise DomainError("fixed_a1 must be positive")
-    level1 = mle_fit(x)
+    theta0 = _moment_start(x)
     lik = _QuadratureLikelihood(x)
+    level1, search1, _ = _masked_search(lik, _compound, theta0, [0, 1], _LEVEL1_BOUNDS)
+    _check_search(search1, level1, ("mu", "a"))
+    level1_significance = chi2_test(x, _compound(level1), n_params_fitted=2)
 
-    a1_init = level1.model.a if fixed_a1 is None else fixed_a1
-    mu_init = level1.model.mu
-    a1_bounds = (math.log(0.05), math.log(1e3))
-
-    def build(theta):
-        mu, a1, a2 = theta
-        return PhotonModel.hierarchy(mu, (a1 / mu, a2 / mu))
-
-    def nll_full(theta):
-        try:
-            return lik.nll(build(theta))
-        except (TruncationError, DomainError):
-            return _PENALTY
+    mu_init = level1[0]
+    a1_init = level1[1] if fixed_a1 is None else fixed_a1
+    level1_free = [0, 1] if fixed_a1 is None else [0]
 
     # Constrained fit: a_2 held at the bound (no resolvable second level).
-    if fixed_a1 is None:
-        bound_bounds = [_LOG_MU_BOUNDS, a1_bounds]
-
-        def bound_unpack(t):
-            return np.array([math.exp(t[0]), math.exp(t[1]), A2_MAX])
-
-        t0_bound = [math.log(mu_init), math.log(a1_init)]
-    else:
-        bound_bounds = [_LOG_MU_BOUNDS]
-
-        def bound_unpack(t):
-            return np.array([math.exp(t[0]), fixed_a1, A2_MAX])
-
-        t0_bound = [math.log(mu_init)]
-    t0_bound = np.clip(t0_bound, [b[0] for b in bound_bounds], [b[1] for b in bound_bounds])
-    at_bound, bound_ok = _simplex_with_restart(
-        lambda t: nll_full(bound_unpack(t)), t0_bound, bound_bounds
-    )
+    at_bound = _masked_search(lik, _two_level, [mu_init, a1_init, A2_MAX], level1_free,
+                              _HIERARCHY_BOUNDS)
 
     # Free fit, started from a profile scan of a_2 at the level-1 optimum
     # (ties broken toward the weakest correction).
     grid = np.exp(np.linspace(_LOG_A2_BOUNDS[0], _LOG_A2_BOUNDS[1], 25))
-    profile = np.array([nll_full((mu_init, a1_init, a2)) for a2 in grid])
+    profile = np.array([_penalized_nll(lik, _two_level, (mu_init, a1_init, a2)) for a2 in grid])
     near_tie = profile <= profile.min() + 0.5
     a2_init = float(grid[np.nonzero(near_tie)[0].max()])
+    free = _masked_search(lik, _two_level, [mu_init, a1_init, a2_init], level1_free + [2],
+                          _HIERARCHY_BOUNDS)
 
-    if fixed_a1 is None:
-        free_bounds = [_LOG_MU_BOUNDS, a1_bounds, _LOG_A2_BOUNDS]
-
-        def free_unpack(t):
-            return np.exp([t[0], t[1], t[2]])
-
-        t0_free = [math.log(mu_init), math.log(a1_init), math.log(a2_init)]
-    else:
-        free_bounds = [_LOG_MU_BOUNDS, _LOG_A2_BOUNDS]
-
-        def free_unpack(t):
-            return np.array([math.exp(t[0]), fixed_a1, math.exp(t[1])])
-
-        t0_free = [math.log(mu_init), math.log(a2_init)]
-    t0_free = np.clip(t0_free, [b[0] for b in free_bounds], [b[1] for b in free_bounds])
-    free, free_ok = _simplex_with_restart(
-        lambda t: nll_full(free_unpack(t)), t0_free, free_bounds
-    )
-
-    second_level_resolved = 2.0 * (at_bound.fun - free.fun) >= _A2_LRT_THRESHOLD
-    if second_level_resolved:
-        best, converged, bounds, unpack = free, free_ok, free_bounds, free_unpack
-    else:
-        best, converged, bounds, unpack = at_bound, bound_ok, bound_bounds, bound_unpack
-    theta_hat = unpack(best.x)
-    if not converged:
-        raise ConvergenceError(
-            "hierarchy simplex search did not converge",
-            best={
-                "mu": float(theta_hat[0]),
-                "a1": float(theta_hat[1]),
-                "a2": float(theta_hat[2]),
-                "log_likelihood": -float(best.fun),
-            },
-        )
-    model = build(theta_hat)
+    second_level_resolved = 2.0 * (at_bound[1].fun - free[1].fun) >= _A2_LRT_THRESHOLD
+    theta_hat, best, box = free if second_level_resolved else at_bound
+    _check_search(best, theta_hat, ("mu", "a1", "a2"))
+    model = _two_level(theta_hat)
 
     # Errors over the parameters that were actually free (linear scale).
-    if second_level_resolved:
-        free_idx = [0, 2] if fixed_a1 is not None else [0, 1, 2]
-    else:
-        free_idx = [0] if fixed_a1 is not None else [0, 1]
-
-    def nll_free_params(params):
-        merged = theta_hat.copy()
-        merged[free_idx] = params
-        return nll_full(merged)
-
-    cov = _invert_information(_observed_information(nll_free_params, theta_hat[free_idx]))
+    free_idx = level1_free + [2] if second_level_resolved else level1_free
+    cov = _fisher_covariance(lik, _two_level, theta_hat, free_idx)
     if cov is None:
         sigma_mu = sigma_a = float("nan")
         sigma_a2 = None
@@ -733,11 +716,11 @@ def fit_hierarchy2(
         sample_size=n,
         method=FitMethod.HIERARCHY_LEVEL2,
         fidelity_vs_reference=None if reference is None else fidelity(model, reference),
-        boundary_pinned=_near_bounds(best.x, bounds),
+        boundary_pinned=_near_bounds(best.x, box),
         error_method=err_method,
         sigma_a2=sigma_a2,
         level1_sufficient=not second_level_resolved,
-        level1_chi2_significance=level1.chi2_significance,
+        level1_chi2_significance=level1_significance,
     )
 
 

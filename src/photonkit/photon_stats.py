@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -275,18 +276,27 @@ def _closed_form_pass(model: PhotonModel) -> tuple[np.ndarray, int]:
     ``TAIL_MASS`` or the mass past the ceiling alone reaches it.
     """
     if model.kind is ModelKind.BINOMIAL_FOCK:
+        if model.n > MAX_FOCK_CUTOFF:
+            raise TruncationError(
+                f"binomial Fock cutoff n={model.n} exceeds the ceiling {MAX_FOCK_CUTOFF}"
+            )
         return _closed_form_pmf(model, model.n + 1), model.n
     mu, c = model.mu, _shape(model)
     muc = mu * c
-    length = int(mu + 12.0 * math.sqrt(mu * (1.0 + muc))) + 24
+    decay = muc / (1.0 + muc)
+    if not decay < 1.0:
+        # The tail ratio rounds to 1, so no geometric bound can certify a cutoff.
+        raise TruncationError(f"Fock cutoff of mu={mu:g}, c={c:g} cannot be bounded")
+    spread = mu + 12.0 * math.sqrt(mu * (1.0 + muc))
     if muc > 0.0:
         # Room for a geometric tail of ratio mu c / (1 + mu c) to fall by e^-37.
-        length = max(length, int(37.0 / math.log1p(1.0 / muc)) + 24)
-    length = min(length, 2 * MAX_FOCK_CUTOFF + 2)
+        spread = max(spread, 37.0 / math.log1p(1.0 / muc))
+    # Clamped before int(): the spread may overflow to inf.
+    length = min(int(min(spread, 2 * MAX_FOCK_CUTOFF)) + 24, 2 * MAX_FOCK_CUTOFF + 2)
     while True:
         probs = _closed_form_pmf(model, length)
         ratio = (1.0 + (length - 1) * c) * mu / (length * (1.0 + muc))
-        q = max(ratio, muc / (1.0 + muc))
+        q = max(ratio, decay)
         rest = probs[-1] * q / (1.0 - q) if q < 1.0 else math.inf
         if (
             rest < _TAIL_SLACK * TAIL_MASS
@@ -383,8 +393,6 @@ def fock_cutoff(model: PhotonModel) -> int:
     Raises :class:`TruncationError` when no such k exists under the
     ceiling ``MAX_FOCK_CUTOFF``.
     """
-    if model.kind is ModelKind.BINOMIAL_FOCK:
-        return model.n
     if model.kind is ModelKind.HIERARCHY:
         return _hierarchy_cutoff(model)
     return _closed_form_pass(model)[1]
@@ -455,9 +463,12 @@ def pgf_derivative(model: PhotonModel, order: int, z: float) -> float:
         raise DomainError(f"PGF argument must satisfy |z| <= 1, got {z}")
     if model.kind is ModelKind.COMPOUND_POISSON:
         mu, a = model.mu, model.a
+        ratio = mu / a
+        # Past the normal range the quotient has lost its digits (or is 0).
+        log_ratio = math.log(ratio) if ratio >= sys.float_info.min else math.log(mu) - math.log(a)
         log_val = (
             math.lgamma(a + order) - math.lgamma(a)
-            + order * math.log(mu / a)
+            + order * log_ratio
             - (a + order) * math.log1p(mu * (1.0 - z) / a)
         )
         if log_val > 709.0:
@@ -488,7 +499,8 @@ def pgf_derivative(model: PhotonModel, order: int, z: float) -> float:
     except OverflowError:
         raise OrderRangeError(f"derivative order {order} overflows") from None
     value = coeffs[order] * factorial
-    if math.isinf(value):
+    if not math.isfinite(value):
+        # inf, or nan from inf - inf in the series composition.
         raise OrderRangeError(f"G^({order})({z:g}) overflows double precision")
     return float(value)
 
@@ -521,7 +533,16 @@ def autocorrelation(model: PhotonModel, m: int) -> float:
         for i in range(m):
             out *= (n - i) / n
         return out
-    return pgf_derivative(model, m, 1.0) / model.mu**m
+    # g^(m) depends on the cluster parameters a_j = mu b_j alone:
+    # G(1 + (z - 1) / mu) is the PGF of the hierarchy of mean 1 with levels
+    # a_j, so mu^m never has to be formed.  A level whose a_j overflows is
+    # Poissonian to double precision and drops out.
+    levels = tuple(a for a in model.cluster_parameters if a < math.inf)
+    if not levels:
+        return 1.0
+    if min(levels) == 0.0:
+        raise OrderRangeError(f"g^({m}) overflows double precision: a cluster parameter is 0")
+    return pgf_derivative(PhotonModel.hierarchy(1.0, levels), m, 1.0)
 
 
 def apply_loss(model: PhotonModel, t: float) -> PhotonModel:

@@ -131,6 +131,15 @@ def test_gtable_factorials(capsys):
         assert float(ln_g) == pytest.approx(math.log(float(g)), rel=1e-12)
 
 
+def test_gtable_overflowing_order_is_model_domain_error(capsys):
+    # mu^m underflows at mu = 1e-300, and g^(m) overflows: exit 4, not a traceback.
+    code, _, err = run_cli(
+        capsys, "gtable", "--mu", "1e-300", "--hierarchy", "1e-3,1e3", "--max-order", "10"
+    )
+    assert code == 4
+    assert "overflows" in err
+
+
 # ---------------------------------------------------------------------------
 # sample subcommand
 
@@ -191,6 +200,16 @@ def test_sample_violated_envelope_is_model_domain_error(capsys, tmp_path, monkey
     )
     assert code == 4
     assert "envelope violated" in err
+
+
+def test_sample_with_an_unbounded_tail_is_model_domain_error(capsys, tmp_path):
+    # mu (1 + mu/a) overflows a double: a TruncationError, exit 4.
+    out = tmp_path / "s.csv"
+    code, _, err = run_cli(
+        capsys, "sample", "--mu", "1e300", "--a", "1", "--n", "5", "--out", str(out)
+    )
+    assert code == 4
+    assert "Fock cutoff" in err
 
 
 # ---------------------------------------------------------------------------

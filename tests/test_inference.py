@@ -11,6 +11,7 @@ from photonkit import (
     ConvergenceError,
     DomainError,
     FitMethod,
+    ModelKind,
     PhotonModel,
     SubVacuumVarianceError,
     TruncationError,
@@ -24,7 +25,7 @@ from photonkit import (
     run_campaign,
     sample_quadratures,
 )
-from photonkit.inference import A2_MAX
+from photonkit.inference import A2_MAX, _QuadratureLikelihood
 
 TRUTH = PhotonModel.compound_poisson(5.983, 1.605)
 
@@ -322,6 +323,42 @@ def test_hierarchy_fit_needs_enough_samples():
     sample = sample_quadratures(TRUTH, 999, 0)
     with pytest.raises(DomainError):
         fit_hierarchy2(sample)
+
+
+@pytest.fixture(scope="module")
+def single_level_sample():
+    return sample_quadratures(PhotonModel.compound_poisson(3.0, 1.5), 2000, 7)
+
+
+@pytest.mark.parametrize("fixed_a1", [None, 1.5])
+def test_hierarchy_fit_never_returns_a_penalty_point(monkeypatch, single_level_sample, fixed_a1):
+    density = _QuadratureLikelihood.density
+
+    def truncated(self, model):
+        if model.kind is ModelKind.HIERARCHY:
+            raise TruncationError("forced for every hierarchy model")
+        return density(self, model)
+
+    monkeypatch.setattr(_QuadratureLikelihood, "density", truncated)
+    with pytest.raises(ConvergenceError) as info:
+        fit_hierarchy2(single_level_sample, fixed_a1=fixed_a1)
+    assert set(info.value.best) == {"mu", "a1", "a2", "log_likelihood"}
+    assert info.value.best["log_likelihood"] == -1e12
+
+
+def test_hierarchy_fit_builds_one_likelihood(monkeypatch, single_level_sample):
+    built = []
+    init = _QuadratureLikelihood.__init__
+
+    def counting(self, values):
+        built.append(values.size)
+        init(self, values)
+
+    monkeypatch.setattr(_QuadratureLikelihood, "__init__", counting)
+    fit = fit_hierarchy2(single_level_sample)
+    assert built == [single_level_sample.values.size]
+    monkeypatch.undo()
+    assert fit.level1_chi2_significance == mle_fit(single_level_sample).chi2_significance
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from photonkit import (
     DomainError,
     OrderRangeError,
     PhotonModel,
+    TruncationError,
     apply_loss,
     autocorrelation,
     fock_cutoff,
@@ -20,6 +21,8 @@ from photonkit import (
     pgf_eval,
     pmf,
     pmf_values,
+    quadrature_pdf,
+    sample_quadratures,
 )
 from photonkit.photon_stats import MAX_FOCK_CUTOFF, MAX_ORDER, TAIL_MASS
 
@@ -359,3 +362,79 @@ def test_fock_cutoff_grows_with_mu():
 
 def test_fock_cutoff_binomial_is_exact():
     assert fock_cutoff(PhotonModel.binomial_fock(7, 4.0)) == 7
+
+
+# ---------------------------------------------------------------------------
+# extreme but finite parameters stay inside the error taxonomy
+
+#: mu (1 + mu/a) overflows, or the tail ratio rounds to 1; n past the ceiling.
+UNBOUNDED_TAILS = [
+    PhotonModel.compound_poisson(1e300, 1.0),
+    PhotonModel.compound_poisson(1e6, 1e-300),
+    PhotonModel.binomial_fock(5000, 5.0),
+]
+
+
+@pytest.mark.parametrize("model", UNBOUNDED_TAILS, ids=["mu1e300", "a1e-300", "n5000"])
+def test_unbounded_fock_cutoff_raises_truncation(model):
+    for call in (
+        lambda: fock_cutoff(model),
+        lambda: pmf_values(model),
+        lambda: quadrature_pdf(model, 0.0),
+        lambda: sample_quadratures(model, 5, 1),
+    ):
+        with pytest.raises(TruncationError):
+            call()
+
+
+def test_binomial_cutoff_at_the_ceiling_is_n():
+    model = PhotonModel.binomial_fock(MAX_FOCK_CUTOFF, 5.0)
+    assert fock_cutoff(model) == MAX_FOCK_CUTOFF
+    assert pmf_values(model).size == MAX_FOCK_CUTOFF + 1
+
+
+@pytest.mark.parametrize(
+    "call,expected",
+    [
+        # mu^m underflows; g^(m) itself overflows through a_j = mu b_j ~ 1e-303.
+        (lambda: autocorrelation(PhotonModel.hierarchy(1e-300, (1e-3, 1e3)), 10),
+         OrderRangeError),
+        # a_1 = mu b_1 underflows to 0: g^(m) ~ 1 / a_1^(m-1) overflows.
+        (lambda: autocorrelation(PhotonModel.hierarchy(1e-300, (1e-30,)), 2), OrderRangeError),
+        # a_1 = mu b_1 overflows: the level is Poissonian to double precision.
+        (lambda: autocorrelation(PhotonModel.hierarchy(1e300, (1e300,)), 10), 1.0),
+        # ln(mu / a) of an underflowed quotient; G^(5)(1) ~ 1e-1500 underflows.
+        (lambda: pgf_derivative(PhotonModel.compound_poisson(1e-300, 1e300), 5, 1.0), 0.0),
+    ],
+)
+def test_order_escapes_are_values_or_typed_errors(call, expected):
+    if isinstance(expected, float):
+        assert call() == expected
+    else:
+        with pytest.raises(expected):
+            call()
+
+
+def test_hierarchy_autocorrelation_matches_the_derivative_ratio():
+    """g^(m) from the mean-1 rescaling against G^(m)(1) / mu^m."""
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        mu = float(10 ** rng.uniform(-1, 1.5))
+        levels = tuple(float(10 ** rng.uniform(-1, 2)) / mu for _ in range(rng.integers(1, 4)))
+        model = PhotonModel.hierarchy(mu, levels)
+        for m in (2, 3, 5, 8, 12):
+            direct = pgf_derivative(model, m, 1.0) / mu**m
+            assert autocorrelation(model, m) == pytest.approx(direct, rel=1e-12)
+
+
+def test_compound_first_derivative_keeps_the_log_ratio_form():
+    """G'(z) sizes the Monte-Carlo pool: its bits stay those of ln(mu / a)."""
+    for mu in np.geomspace(0.01, 300.0, 9):
+        for a in np.geomspace(0.01, 1e6, 9):
+            for z in (1.0, 0.95, 0.5, -1.0):
+                old = math.exp(
+                    math.lgamma(a + 1) - math.lgamma(a) + math.log(mu / a)
+                    - (a + 1) * math.log1p(mu * (1.0 - z) / a)
+                )
+                model = PhotonModel.compound_poisson(float(mu), float(a))
+                assert pgf_derivative(model, 1, z) == old
