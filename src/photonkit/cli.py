@@ -176,7 +176,9 @@ def _cmd_gtable(args) -> int:
     print("order\tg\tln_g")
     for order in range(2, args.max_order + 1):
         g = autocorrelation(model, order)
-        print(f"{order}\t{g!r}\t{math.log(g)!r}")
+        # Binomial light has g = 0 past n, where ln g is -inf.
+        log_g = math.log(g) if g > 0.0 else -math.inf
+        print(f"{order}\t{g!r}\t{log_g!r}")
     return 0
 
 

@@ -376,11 +376,28 @@ def _hierarchy_cutoff(model: PhotonModel) -> int:
 
 
 def _rising_ratio(a: float, m: int) -> float:
-    """(a)_m / a^m as an exact product of ratios (a + i) / a."""
+    """(a)_m / a^m as an exact product of ratios (a + i) / a.
+
+    At a = -n this is the binomial product prod (n - i) / n, which is 0
+    past n; adding 0.0 turns the -0.0 a negative factor can leave into 0.0.
+    """
     out = 1.0
     for i in range(m):
         out *= (a + i) / a
-    return out
+    return out + 0.0
+
+
+def _mandel_q(model: PhotonModel) -> float:
+    """Mandel Q = var / mu - 1 = mu * sum_j 1 / a_j.
+
+    mu / a for compound light and its binomial continuation a = -n, 0 for
+    Poisson light and sum_j 1 / b_j for a hierarchy (a_j = mu b_j).
+    """
+    if model.kind is ModelKind.POISSON:
+        return 0.0
+    if model.kind is ModelKind.HIERARCHY:
+        return sum(1.0 / b for b in model.levels)
+    return model.mu / model.a
 
 
 # ---------------------------------------------------------------------------
@@ -508,11 +525,12 @@ def pgf_derivative(model: PhotonModel, order: int, z: float) -> float:
 def autocorrelation(model: PhotonModel, m: int) -> float:
     """Normalized m-th order autocorrelation g^(m) = G^(m)(1) / mu^m.
 
-    For the compound-Poisson family this is the ratio form of the rising
-    factorial, (a)_m / a^m, evaluated as an exact product of the ratios
-    (a + i) / a; thermal light (a = 1) therefore gives g^(2) == 2.0
-    without rounding.  Orders above ``MAX_ORDER`` raise
-    :class:`OrderRangeError`.
+    For the compound-Poisson family and its binomial continuation a = -n
+    this is the ratio form of the rising factorial, (a)_m / a^m, evaluated
+    as an exact product of the ratios (a + i) / a; thermal light (a = 1)
+    therefore gives g^(2) == 2.0 without rounding, and binomial light
+    gives 0.0 past n.  Orders above ``MAX_ORDER``, and a g^(m) that
+    overflows double precision, raise :class:`OrderRangeError`.
     """
     if m != int(m) or m < 2:
         raise DomainError(f"autocorrelation order must be an integer >= 2, got {m}")
@@ -521,18 +539,13 @@ def autocorrelation(model: PhotonModel, m: int) -> float:
         raise OrderRangeError(
             f"autocorrelation order {m} exceeds the supported maximum {MAX_ORDER}"
         )
-    if model.kind is ModelKind.COMPOUND_POISSON:
-        return _rising_ratio(model.a, m)
     if model.kind is ModelKind.POISSON:
         return 1.0
-    if model.kind is ModelKind.BINOMIAL_FOCK:
-        n = model.n
-        if m > n:
-            return 0.0
-        out = 1.0
-        for i in range(m):
-            out *= (n - i) / n
-        return out
+    if model.kind is not ModelKind.HIERARCHY:
+        g = _rising_ratio(model.a, m)
+        if math.isinf(g):
+            raise OrderRangeError(f"g^({m}) overflows double precision")
+        return g
     # g^(m) depends on the cluster parameters a_j = mu b_j alone:
     # G(1 + (z - 1) / mu) is the PGF of the hierarchy of mean 1 with levels
     # a_j, so mu^m never has to be formed.  A level whose a_j overflows is
@@ -562,13 +575,5 @@ def apply_loss(model: PhotonModel, t: float) -> PhotonModel:
 
 
 def moments(model: PhotonModel) -> tuple[float, float]:
-    """Mean and variance of the photon number."""
-    mu = model.mu
-    if model.kind is ModelKind.COMPOUND_POISSON:
-        return mu, mu * (1.0 + mu / model.a)
-    if model.kind is ModelKind.POISSON:
-        return mu, mu
-    if model.kind is ModelKind.BINOMIAL_FOCK:
-        return mu, mu * (1.0 - mu / model.n)
-    # var = G''(1) + mu - mu^2 with G''(1) = mu^2 + mu * sum(1 / b_j)
-    return mu, mu * (1.0 + sum(1.0 / b for b in model.levels))
+    """Mean and variance of the photon number, var = mu (1 + Q)."""
+    return model.mu, model.mu * (1.0 + _mandel_q(model))

@@ -8,9 +8,11 @@ basis therefore has quadrature density
     P(x) = sum_k P(k) |phi_k(x)|^2,
 
 an even function whose variance is mu + 1/2 regardless of the shape of
-the number distribution; the excess kurtosis
--6 (mu / (2 mu + 1))^2 (a - 1) / a separates the compound-Poisson
-family by its clusterization parameter.
+the number distribution.  Its excess kurtosis
+-6 (mu / (2 mu + 1))^2 (2 - g^(2)) depends on the number statistics
+through g^(2) = 1 + Q / mu alone (Q the Mandel parameter): 1 + 1/a for
+the compound-Poisson family and its binomial continuation a = -n, 1 for
+Poisson light and 1 + sum_j 1/a_j for a hierarchy.
 
 Hermite functions are evaluated with the normalized three-term
 recurrence
@@ -34,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, OrderRangeError, SamplingError
-from .photon_stats import MAX_FOCK_CUTOFF, ModelKind, PhotonModel, fock_cutoff, moments, pmf_values
+from .photon_stats import MAX_FOCK_CUTOFF, PhotonModel, _mandel_q, fock_cutoff, pmf_values
 
 #: Quadrature variance of the vacuum state in this convention.
 VACUUM_VARIANCE = 0.5
@@ -200,41 +202,17 @@ class QuadratureMoments:
 def quadrature_moments(model: PhotonModel) -> QuadratureMoments:
     """Variance, skewness and excess kurtosis of the quadrature density.
 
-    Closed forms cover every kind with an explicit clusterization
-    parameter; hierarchy models are integrated numerically over the pdf
-    (``method`` records which route was taken).  The variance is always
-    mu + 1/2 and the density is even, so the skewness vanishes.
+    One closed form covers every Fock-diagonal state: the variance is
+    mu + 1/2, the density is even so the skewness vanishes, and the excess
+    kurtosis is -6 (mu / (2 mu + 1))^2 (1 - Q / mu), where Q = var / mu - 1
+    is the Mandel parameter of the number distribution and
+    1 - Q / mu = 2 - g^(2).  ``method`` is always ``"closed_form"``.
     """
     mu = model.mu
-    variance = mu + VACUUM_VARIANCE
-    if model.kind is ModelKind.HIERARCHY:
-        edges, _ = _cdf_grid(model)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        f_edges = quadrature_pdf(model, edges)
-        f_mids = quadrature_pdf(model, mids)
-        h = edges[1] - edges[0]
-
-        def integral(power):
-            ge = edges**power * f_edges
-            gm = mids**power * f_mids
-            return float(np.sum((h / 6.0) * (ge[:-1] + 4.0 * gm + ge[1:])))
-
-        m2 = integral(2)
-        m3 = integral(3)
-        m4 = integral(4)
-        return QuadratureMoments(
-            variance=m2,
-            skewness=m3 / m2**1.5,
-            excess_kurtosis=m4 / m2**2 - 3.0,
-            method="numeric",
-        )
-    if model.kind is ModelKind.POISSON:
-        shape = 1.0  # limit of (a - 1) / a as a -> inf
-    else:
-        shape = (model.a - 1.0) / model.a
-    kurt = -6.0 * (mu / (2.0 * mu + 1.0)) ** 2 * shape
+    kurt = -6.0 * (mu / (2.0 * mu + 1.0)) ** 2 * (1.0 - _mandel_q(model) / mu)
     return QuadratureMoments(
-        variance=variance, skewness=0.0, excess_kurtosis=kurt, method="closed_form"
+        variance=mu + VACUUM_VARIANCE, skewness=0.0, excess_kurtosis=kurt,
+        method="closed_form",
     )
 
 

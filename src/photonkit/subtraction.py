@@ -95,16 +95,23 @@ class SubtractionRecord:
         )
 
 
-def _one_step_ideal(model: PhotonModel) -> PhotonModel:
-    """Ideal-limit single subtraction G -> G' / mu on the closed family."""
-    if model.kind is ModelKind.POISSON:
-        return model
-    a, mu = model.a, model.mu
+def _check_closes(model: PhotonModel) -> None:
+    """Raise unless one more subtraction leaves a state inside the family."""
+    if model.kind is ModelKind.HIERARCHY:
+        raise UnsupportedModelError("hierarchy models do not close under subtraction")
     if model.kind is ModelKind.BINOMIAL_FOCK and model.n == 1:
         raise ImpossibleSubtractionError(
             "subtracting from a single-mode binomial state leaves vacuum, "
             "which is outside the model family"
         )
+
+
+def _one_step_ideal(model: PhotonModel) -> PhotonModel:
+    """Ideal-limit single subtraction G -> G' / mu on the closed family."""
+    _check_closes(model)
+    if model.kind is ModelKind.POISSON:
+        return model
+    a, mu = model.a, model.mu
     return PhotonModel(model.kind, mu * (a + 1.0) / a, a=a + 1.0)
 
 
@@ -119,8 +126,6 @@ def subtract_analytic(model: PhotonModel, m: int) -> SubtractionRecord:
     if m != int(m) or m < 1:
         raise DomainError(f"subtraction count must be a positive integer, got {m}")
     m = int(m)
-    if model.kind is ModelKind.HIERARCHY:
-        raise UnsupportedModelError("hierarchy models do not close under subtraction")
     if model.kind is ModelKind.BINOMIAL_FOCK and m >= model.n:
         raise ImpossibleSubtractionError(
             f"a binomial state with n = {model.n} admits at most {model.n - 1} "
@@ -146,17 +151,11 @@ def subtract_finite_p(model: PhotonModel, p: float) -> PhotonModel:
     p = float(p)
     if not (0.0 < p < 1.0):
         raise DomainError(f"reflection probability must lie in (0, 1), got {p}")
-    if model.kind is ModelKind.HIERARCHY:
-        raise UnsupportedModelError("hierarchy models do not close under subtraction")
+    _check_closes(model)
     if model.kind is ModelKind.POISSON:
         return PhotonModel.poisson(model.mu * (1.0 - p))
     if model.kind is ModelKind.BINOMIAL_FOCK:
         n = model.n
-        if n == 1:
-            raise ImpossibleSubtractionError(
-                "subtracting from a single-mode binomial state leaves vacuum, "
-                "which is outside the model family"
-            )
         theta = model.mu / n
         theta_new = theta * (1.0 - p) / (1.0 - theta * p)
         return PhotonModel.binomial_fock(n - 1, (n - 1) * theta_new)
@@ -242,38 +241,22 @@ def autocorr_from_means(
 def conditional_autocorr(model: PhotonModel, m: int, n: int) -> float:
     """Autocorrelation g^(n) of the state left after ``m`` ideal subtractions.
 
-    Expressible through the original state's autocorrelations alone:
-    g_m^(n) = g^(m+n) (g^(m))^(n-1) / (g^(m+1))^n, which equals the
-    direct autocorrelation of the subtracted model.
+    Equal to g^(m+n) (g^(m))^(n-1) / (g^(m+1))^n in the original state's
+    autocorrelations, and evaluated as the direct autocorrelation of
+    ``subtract_analytic(model, m).result``: (a + m)_n / (a + m)^n for the
+    compound-Poisson family, 1 for Poisson light.  Binomial states with
+    n modes admit m < n subtractions.  Hierarchy models do not close under
+    subtraction and raise :class:`UnsupportedModelError` for m >= 1;
+    m + n above ``MAX_ORDER`` raises :class:`OrderRangeError`.
     """
     if m != int(m) or m < 0:
         raise DomainError(f"subtraction count must be a nonnegative integer, got {m}")
     if n != int(n) or n < 2:
         raise DomainError(f"autocorrelation order must be an integer >= 2, got {n}")
     m, n = int(m), int(n)
-    if m == 0:
-        return autocorrelation(model, n)
-    if model.kind is ModelKind.POISSON:
-        return 1.0
-    if model.kind is not ModelKind.COMPOUND_POISSON:
-        raise UnsupportedModelError(
-            "conditional autocorrelations require the compound-Poisson family"
-        )
     if m + n > MAX_ORDER:
         raise OrderRangeError(
             f"needs g^({m + n}), above the supported maximum order {MAX_ORDER}"
         )
-    log_g = (
-        _log_g(model, m + n)
-        + (n - 1) * _log_g(model, m)
-        - n * _log_g(model, m + 1)
-    )
-    return math.exp(log_g)
-
-
-def _log_g(model: PhotonModel, m: int) -> float:
-    """ln g^(m) for the compound-Poisson family (m >= 0)."""
-    if m < 2:
-        return 0.0
-    a = model.a
-    return math.lgamma(a + m) - math.lgamma(a) - m * math.log(a)
+    state = model if m == 0 else subtract_analytic(model, m).result
+    return autocorrelation(state, n)

@@ -140,6 +140,20 @@ def test_gtable_overflowing_order_is_model_domain_error(capsys):
     assert "overflows" in err
 
 
+def test_gtable_binomial_past_n_prints_minus_infinity(capsys):
+    code, out, _ = run_cli(capsys, "gtable", "--mu", "2", "--fock", "2", "--max-order", "3")
+    assert code == 0
+    assert out.strip().split("\n")[1:] == ["2\t0.5\t-0.6931471805599453", "3\t0.0\t-inf"]
+
+
+def test_gtable_overflowing_compound_order_is_model_domain_error(capsys):
+    # g^(2) = 1 + 1e300 is printed; g^(3) ~ 2e600 overflows: exit 4, as for hierarchies.
+    code, out, err = run_cli(capsys, "gtable", "--mu", "1", "--a", "1e-300", "--max-order", "20")
+    assert code == 4
+    assert "overflows" in err
+    assert "inf" not in out
+
+
 # ---------------------------------------------------------------------------
 # sample subcommand
 

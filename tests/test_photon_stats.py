@@ -254,6 +254,42 @@ def test_hierarchy_moments_match_pmf():
     assert variance == pytest.approx(float((k - mean) ** 2 @ values), rel=1e-6)
 
 
+def _shape_form_moments(model):
+    """The former per-kind variance formulas."""
+    mu = model.mu
+    if model.kind == "compound_poisson":
+        return mu, mu * (1.0 + mu / model.a)
+    if model.kind == "poisson":
+        return mu, mu
+    if model.kind == "binomial_fock":
+        return mu, mu * (1.0 - mu / model.n)
+    return mu, mu * (1.0 + sum(1.0 / b for b in model.levels))
+
+
+def _family_grid():
+    """Compound, Poisson and binomial models across the parameter range."""
+    models = [PhotonModel.poisson(float(mu)) for mu in np.geomspace(1e-3, 1e3, 13)]
+    for mu in np.geomspace(1e-3, 1e3, 13):
+        for a in [*np.geomspace(1e-3, 1e6, 19), 0.37, 1.0, 3.0, 12345.678]:
+            models.append(PhotonModel.compound_poisson(float(mu), float(a)))
+    for n in range(1, 41):
+        for t in (0.01, 0.3, 0.5, 0.77, 0.99, 1.0):
+            models.append(PhotonModel.binomial_fock(n, n * t))
+    return models
+
+
+def test_variance_is_the_former_formula_bit_for_bit():
+    """var = mu (1 + Q) with the Mandel Q equals the per-kind forms exactly."""
+    models = _family_grid()
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        mu = float(10 ** rng.uniform(-2, 2))
+        levels = tuple(float(10 ** rng.uniform(-2, 2)) for _ in range(rng.integers(1, 4)))
+        models.append(PhotonModel.hierarchy(mu, levels))
+    for model in models:
+        assert moments(model) == _shape_form_moments(model)
+
+
 # ---------------------------------------------------------------------------
 # normalized correlation functions
 
@@ -281,6 +317,48 @@ def test_autocorrelation_two_evaluation_paths_agree(mu, a):
     for m in (2, 3, 5, 8):
         direct = pgf_derivative(model, m, 1.0) / mu**m
         assert abs(autocorrelation(model, m) - direct) / direct < 1e-12
+
+
+def _per_kind_autocorrelation(model, m):
+    """The former per-kind product forms of g^(m)."""
+    if model.kind == "poisson":
+        return 1.0
+    if model.kind == "binomial_fock":
+        n = model.n
+        if m > n:
+            return 0.0
+        out = 1.0
+        for i in range(m):
+            out *= (n - i) / n
+        return out
+    out = 1.0
+    for i in range(m):
+        out *= (model.a + i) / model.a
+    return out
+
+
+def test_autocorrelation_is_the_former_product_bit_for_bit():
+    """One rising-ratio product for compound and binomial light: same bits, sign included."""
+    for model in _family_grid():
+        for m in range(2, MAX_ORDER + 1):
+            new = autocorrelation(model, m)
+            assert new.hex() == _per_kind_autocorrelation(model, m).hex()
+
+
+def test_binomial_autocorrelation_past_n_is_positive_zero():
+    # The factor at i = n is 0 / -n = -0.0; the next negative factor flips its sign.
+    for m in range(3, MAX_ORDER + 1):
+        value = autocorrelation(PhotonModel.binomial_fock(2, 2.0), m)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+def test_overflowing_autocorrelation_raises_on_every_kind():
+    model = PhotonModel.compound_poisson(1.0, 1e-300)
+    assert autocorrelation(model, 2) == pytest.approx(1e300, rel=1e-12)
+    with pytest.raises(OrderRangeError):
+        autocorrelation(model, 20)
+    with pytest.raises(OrderRangeError):
+        autocorrelation(PhotonModel.hierarchy(1.0, (1e-300,)), 20)
 
 
 def test_autocorrelation_order_validation():

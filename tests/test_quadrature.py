@@ -155,15 +155,21 @@ def test_variance_is_mean_plus_half(mu, a):
 
 
 def test_moments_closed_form_against_numeric_integration():
-    moments = quadrature_moments(THERMAL)
     x = np.linspace(-40.0, 40.0, 16001)
-    pdf = quadrature_pdf(THERMAL, x)
-    m2 = integrate.trapezoid(x**2 * pdf, x)
-    m4 = integrate.trapezoid(x**4 * pdf, x)
-    assert moments.variance == pytest.approx(m2, rel=1e-7)
-    assert moments.excess_kurtosis == pytest.approx(m4 / m2**2 - 3.0, abs=1e-6)
-    assert moments.skewness == 0.0
-    assert moments.method == "closed_form"
+    for model in (
+        THERMAL,
+        PhotonModel.hierarchy(1.5, (2.0,)),
+        PhotonModel.hierarchy(3.034, (1.0 / 3.034, 10.0 / 3.034)),
+        PhotonModel.hierarchy(2.0, (0.4, 2.5, 10.0)),
+    ):
+        moments = quadrature_moments(model)
+        pdf = quadrature_pdf(model, x)
+        m2 = integrate.trapezoid(x**2 * pdf, x)
+        m4 = integrate.trapezoid(x**4 * pdf, x)
+        assert moments.variance == pytest.approx(m2, rel=1e-7)
+        assert moments.excess_kurtosis == pytest.approx(m4 / m2**2 - 3.0, abs=1e-6)
+        assert moments.skewness == 0.0
+        assert moments.method == "closed_form"
 
 
 @pytest.mark.parametrize("mu", [1.0, 3.0, 10.0])
@@ -180,12 +186,74 @@ def test_thermal_quadrature_has_zero_excess_kurtosis():
     assert quadrature_moments(THERMAL).excess_kurtosis == 0.0
 
 
-def test_hierarchy_moments_fall_back_to_numeric():
+def test_hierarchy_moments_are_closed_form():
     model = PhotonModel.hierarchy(3.034, (1.0 / 3.034, 10.0 / 3.034))
     moments = quadrature_moments(model)
-    assert moments.method == "numeric"
+    assert moments.method == "closed_form"
     assert moments.variance == pytest.approx(3.534, abs=1e-8)
     assert abs(moments.skewness) < 1e-12
+
+
+def _simpson_moments(model):
+    """The former hierarchy route: Simpson integration of x^2..x^4 P(x)."""
+    edges, _ = quadrature._cdf_grid(model)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    f_edges = quadrature_pdf(model, edges)
+    f_mids = quadrature_pdf(model, mids)
+    h = edges[1] - edges[0]
+
+    def integral(power):
+        ge = edges**power * f_edges
+        gm = mids**power * f_mids
+        return float(np.sum((h / 6.0) * (ge[:-1] + 4.0 * gm + ge[1:])))
+
+    m2, m3, m4 = integral(2), integral(3), integral(4)
+    return m2, m3 / m2**1.5, m4 / m2**2 - 3.0
+
+
+def test_hierarchy_moments_match_the_simpson_route():
+    """Variance mu + 1/2 and kurtosis -6 (mu/(2mu+1))^2 (1 - sum 1/a_j) on random hierarchies.
+
+    The Simpson route truncates the heavy tails at TAIL_MASS, which moves
+    its kurtosis by up to a few 1e-9 on clustered hierarchies.
+    """
+    rng = np.random.default_rng(23)
+    for _ in range(8):
+        mu = float(rng.uniform(0.5, 12.0))
+        levels = tuple(
+            float(10 ** rng.uniform(-0.5, 1.5)) / mu for _ in range(rng.integers(1, 4))
+        )
+        model = PhotonModel.hierarchy(mu, levels)
+        closed = quadrature_moments(model)
+        variance, skewness, kurtosis = _simpson_moments(model)
+        assert closed.variance == mu + 0.5
+        assert variance == pytest.approx(closed.variance, rel=1e-9)
+        assert abs(skewness) < 1e-12
+        assert closed.excess_kurtosis == pytest.approx(kurtosis, rel=1e-8, abs=1e-8)
+
+
+def test_kurtosis_matches_the_former_shape_form():
+    """1 - Q/mu against (a - 1)/a on Poisson, compound and binomial grids.
+
+    Poisson light keeps its bits.  Elsewhere Q/mu = (mu/a)/mu carries two
+    roundings of 1/a, which 1 - Q/mu cancels into the result near a = 1,
+    so the bound is on the prefactor's scale: a few units of
+    2^-53 * 6 (mu/(2mu+1))^2 * (1 + 1/|a|).
+    """
+    for mu in np.geomspace(0.01, 300.0, 13):
+        mu = float(mu)
+        assert quadrature_moments(PhotonModel.poisson(mu)).excess_kurtosis == (
+            -6.0 * (mu / (2.0 * mu + 1.0)) ** 2
+        )
+        models = [PhotonModel.compound_poisson(mu, float(a)) for a in
+                  [*np.geomspace(0.01, 1e6, 31), 1.0, 1.0 + 1e-10, 1.0 - 1e-10, 1.001]]
+        models += [PhotonModel.binomial_fock(n, min(mu, float(n))) for n in (1, 2, 3, 7, 40)]
+        for model in models:
+            a, m = model.a, model.mu
+            prefactor = 6.0 * (m / (2.0 * m + 1.0)) ** 2
+            old = -6.0 * (m / (2.0 * m + 1.0)) ** 2 * ((a - 1.0) / a)
+            new = quadrature_moments(model).excess_kurtosis
+            assert abs(new - old) <= 6.0 * 2.0**-53 * prefactor * (1.0 + 1.0 / abs(a))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Photon subtraction: analytic chains, finite detection efficiency, Monte Carlo."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from photonkit import (
     DomainError,
     ImpossibleSubtractionError,
+    OrderRangeError,
     PhotonModel,
     UnsupportedModelError,
     autocorr_from_means,
@@ -150,6 +152,37 @@ def test_finite_p_record_chain():
         assert model.mu < step_mean
 
 
+@pytest.mark.parametrize("p", [1e-4, 0.01, 0.05, 0.5, 0.99])
+def test_finite_p_keeps_a_pure_fock_state_exact(p):
+    for n in range(2, 41):
+        sub = subtract_finite_p(PhotonModel.binomial_fock(n, float(n)), p)
+        assert sub.n == n - 1
+        assert sub.mu == float(n - 1)
+
+
+def test_finite_p_maps_are_the_former_expressions_bit_for_bit():
+    for p in (1e-4, 0.01, 0.05, 0.5, 0.99):
+        for mu in np.geomspace(0.01, 300.0, 9):
+            mu = float(mu)
+            assert subtract_finite_p(PhotonModel.poisson(mu), p).mu == mu * (1.0 - p)
+            for a in np.geomspace(0.01, 1e6, 9):
+                a = float(a)
+                sub = subtract_finite_p(PhotonModel.compound_poisson(mu, a), p)
+                assert sub.a == a + 1.0
+                assert sub.mu == (a + 1.0) * (1.0 - p) * (mu / a) / (1.0 + mu * p / a)
+
+
+def test_both_subtraction_routes_share_the_closure_check():
+    for model, error in (
+        (PhotonModel.binomial_fock(1, 0.5), ImpossibleSubtractionError),
+        (PhotonModel.hierarchy(3.0, (0.5, 2.0)), UnsupportedModelError),
+    ):
+        with pytest.raises(error):
+            subtract_analytic(model, 1)
+        with pytest.raises(error):
+            subtract_finite_p(model, 0.1)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo subtraction
 
@@ -231,6 +264,50 @@ def test_conditional_autocorr_validates_arguments():
         conditional_autocorr(model, 2, 1)
     with pytest.raises(DomainError):
         conditional_autocorr(model, -1, 2)
+
+
+def _exact_rising_ratio(a, n):
+    """(a)_n / a^n as an exact rational product of (a + i) / a."""
+    out = Fraction(1)
+    for i in range(n):
+        out *= (a + i) / a
+    return out
+
+
+def test_conditional_autocorr_matches_the_exact_rational_product():
+    """g_m^(n) = (a + m)_n / (a + m)^n to 1e-14, with no lgamma cancellation at large a."""
+    for mu in (0.01, 1.0, 30.0):
+        for a in [*np.geomspace(0.01, 1e6, 9), 0.37, 1.0]:
+            model = PhotonModel.compound_poisson(mu, float(a))
+            for m in range(1, 19):
+                for n in range(2, 21 - m):
+                    exact = _exact_rising_ratio(Fraction(float(a)) + m, n)
+                    value = conditional_autocorr(model, m, n)
+                    assert abs(Fraction(value) - exact) <= Fraction(1, 10**14) * exact
+    # The former lgamma route read 1.0001710445636316 here, 3.1e-8 off.
+    model = PhotonModel.compound_poisson(0.01, 1e6)
+    assert conditional_autocorr(model, 1, 19) == pytest.approx(1.0001710133956359, rel=1e-14)
+
+
+def test_conditional_autocorr_of_binomial_light():
+    for n in range(2, 12):
+        model = PhotonModel.binomial_fock(n, 0.6 * n)
+        for m in range(1, n):
+            for order in range(2, 21 - m):
+                value = conditional_autocorr(model, m, order)
+                exact = _exact_rising_ratio(Fraction(m - n), order)
+                assert abs(Fraction(value) - exact) <= Fraction(1, 10**14) * abs(exact)
+                assert math.copysign(1.0, value) == 1.0
+        with pytest.raises(ImpossibleSubtractionError):
+            conditional_autocorr(model, n, 2)
+
+
+def test_conditional_autocorr_of_other_kinds():
+    assert conditional_autocorr(PhotonModel.poisson(2.0), 3, 4) == 1.0
+    with pytest.raises(UnsupportedModelError):
+        conditional_autocorr(PhotonModel.hierarchy(3.0, (0.5, 2.0)), 1, 2)
+    with pytest.raises(OrderRangeError):
+        conditional_autocorr(PhotonModel.compound_poisson(3.0, 1.0), 10, 11)
 
 
 # ---------------------------------------------------------------------------
