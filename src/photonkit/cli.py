@@ -46,7 +46,7 @@ from .inference import (
 )
 from .photon_stats import PhotonModel, autocorrelation, moments, pmf_values
 from .quadrature import load_samples, sample_quadratures, save_samples
-from .subtraction import subtract_analytic, subtract_finite_p
+from .subtraction import _subtract
 
 _MODEL_DOMAIN_ERRORS = (
     SubVacuumVarianceError,
@@ -119,23 +119,7 @@ def _cmd_model(args) -> int:
 
 
 def _cmd_subtract(args) -> int:
-    model = _build_model(args)
-    if args.m < 1:
-        raise DomainError("--m wants a positive number of subtractions")
-    if args.p is None:
-        record = subtract_analytic(model, args.m)
-    else:
-        current = model
-        step_means = []
-        for _ in range(args.m):
-            current = subtract_finite_p(current, args.p)
-            step_means.append(current.mu)
-        record = dataclasses.replace(
-            subtract_analytic(model, args.m),  # validates m against the model
-            p=args.p,
-            step_means=tuple(step_means),
-            result=current,
-        )
+    record = _subtract(_build_model(args), args.m, args.p)
     print(json.dumps(record.to_dict(), indent=2))
     return 0
 

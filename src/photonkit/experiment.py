@@ -14,6 +14,9 @@ against the ideal chain (mu0 (a0 + m) / a0, a0 + m): the campaign's
 targets are the theory values, with measured-table numbers serving as
 plausibility anchors only — the report header repeats this so the CSV
 is self-describing.
+
+The chain and its herald rule live in :mod:`photonkit.subtraction`; this
+module walks the ideal chain once, sizes the pool and runs the stages.
 """
 
 from __future__ import annotations
@@ -27,18 +30,14 @@ import numpy as np
 
 from .errors import CampaignError, DomainError, PhotonKitError, PoolExhaustedError
 from .inference import REPORT_COLUMNS, FitResult, mle_fit, report_row
-from .photon_stats import CorrelationReport, PhotonModel, pgf_derivative, pmf_values
+from .photon_stats import CorrelationReport, PhotonModel
 from .quadrature import (
     QuadratureSample,
     quadrature_pdf,
     sample_for_counts,
     sample_quadratures,
 )
-from .subtraction import (
-    autocorr_from_means,
-    subtract_analytic,
-    subtract_finite_p,
-)
+from .subtraction import _chain, _chain_acceptance, _mc_survivor_hist, autocorr_from_means
 
 #: Default per-m sample sizes for the reference campaign.
 DEFAULT_SAMPLE_SIZES = (
@@ -129,33 +128,6 @@ class CampaignConfig:
         return cls.from_dict(data)
 
 
-def _ideal_chain_model(thermal: PhotonModel, m: int) -> PhotonModel:
-    return thermal if m == 0 else subtract_analytic(thermal, m).result
-
-
-def _chain_acceptance(thermal: PhotonModel, m: int, p: float) -> float:
-    """Probability that one source draw survives m conditioning steps."""
-    acceptance = 1.0
-    model = thermal
-    for _ in range(m):
-        acceptance *= p * pgf_derivative(model, 1, 1.0 - p)
-        model = subtract_finite_p(model, p)
-    return acceptance
-
-
-def _mc_survivor_hist(
-    thermal: PhotonModel, m: int, pool: int, p: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Photon-number histogram of the ``pool`` source draws surviving m passes."""
-    probs = pmf_values(thermal)
-    hist = rng.multinomial(pool, probs / probs.sum())
-    k = np.arange(hist.size)
-    herald = k * p * (1.0 - p) ** (k - 1.0)  # exactly one of k photons reflects
-    for _ in range(m):
-        hist = rng.binomial(hist, herald[: hist.size])[1:]
-    return hist
-
-
 def _mc_stage_counts(
     thermal: PhotonModel, m: int, needed: int, p: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -237,9 +209,10 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     labels: list[str] = []
     fits: list[FitResult] = []
     ideals: list[PhotonModel] = []
+    ideal_chain = _chain(thermal)
     for m in range(config.m_max + 1):
         try:
-            ideal = _ideal_chain_model(thermal, m)
+            ideal = next(ideal_chain)
             stage_rng = np.random.default_rng(children[m + 1])
             size = config.sample_sizes[m]
             if config.mode is CampaignMode.ANALYTIC:
@@ -256,17 +229,12 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         labels.append(f"m={m}")
         fits.append(fit)
         ideals.append(ideal)
-    if config.m_max == 0:
-        correlation = CorrelationReport(
-            orders=(), g_values=(), log_g_values=(), sigma_log_g=()
-        )
-    else:
-        correlation = autocorr_from_means(
-            fits[0].model.mu,
-            [fit.model.mu for fit in fits[1:]],
-            sigma_mu0=fits[0].sigma_mu,
-            step_sigmas=[fit.sigma_mu for fit in fits[1:]],
-        )
+    correlation = autocorr_from_means(
+        fits[0].model.mu,
+        [fit.model.mu for fit in fits[1:]],
+        sigma_mu0=fits[0].sigma_mu,
+        step_sigmas=[fit.sigma_mu for fit in fits[1:]],
+    )
     return CampaignResult(
         config=config,
         labels=tuple(labels),

@@ -111,6 +111,8 @@ class PhotonModel:
                 )
             if self.levels is not None:
                 raise DomainError("levels is only meaningful for hierarchy models")
+            if -self.a > 2**53:
+                raise DomainError(f"binomial_fock requires n <= 2**53, got {-self.a:g}")
             if self.mu > -self.a:
                 raise DomainError(
                     f"binomial_fock requires mu <= n, got mu={self.mu}, n={-self.a:g}"
@@ -139,6 +141,8 @@ class PhotonModel:
     def binomial_fock(cls, n: int, mu: float) -> "PhotonModel":
         if n != int(n) or n < 1:
             raise DomainError(f"binomial_fock requires a positive integer n, got {n}")
+        if int(n) > 2**53:  # a = -float(n) would round, e.g. 2**53 + 1 to 2**53
+            raise DomainError(f"binomial_fock requires n <= 2**53, got {int(n)}")
         return cls(ModelKind.BINOMIAL_FOCK, mu, a=-int(n))
 
     @classmethod
@@ -575,5 +579,8 @@ def apply_loss(model: PhotonModel, t: float) -> PhotonModel:
 
 
 def moments(model: PhotonModel) -> tuple[float, float]:
-    """Mean and variance of the photon number, var = mu (1 + Q)."""
-    return model.mu, model.mu * (1.0 + _mandel_q(model))
+    """Mean and variance var = mu (1 + Q); an infinite variance raises OrderRangeError."""
+    variance = model.mu * (1.0 + _mandel_q(model))
+    if not math.isfinite(variance):
+        raise OrderRangeError("photon-number variance overflows double precision")
+    return model.mu, variance

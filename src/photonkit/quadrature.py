@@ -206,10 +206,13 @@ def quadrature_moments(model: PhotonModel) -> QuadratureMoments:
     mu + 1/2, the density is even so the skewness vanishes, and the excess
     kurtosis is -6 (mu / (2 mu + 1))^2 (1 - Q / mu), where Q = var / mu - 1
     is the Mandel parameter of the number distribution and
-    1 - Q / mu = 2 - g^(2).  ``method`` is always ``"closed_form"``.
+    1 - Q / mu = 2 - g^(2).  ``method`` is always ``"closed_form"``; a
+    kurtosis that is not finite raises :class:`OrderRangeError`.
     """
     mu = model.mu
     kurt = -6.0 * (mu / (2.0 * mu + 1.0)) ** 2 * (1.0 - _mandel_q(model) / mu)
+    if not math.isfinite(kurt):
+        raise OrderRangeError("quadrature kurtosis is not finite in double precision")
     return QuadratureMoments(
         variance=mu + VACUUM_VARIANCE, skewness=0.0, excess_kurtosis=kurt,
         method="closed_form",

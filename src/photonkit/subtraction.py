@@ -17,6 +17,10 @@ reducing to the ideal map as p -> 0 with O(p) error.  The factorial
 moments of the original state are recovered from the chain of measured
 means, mu g^(m+1) = mu_m g^(m) [...], giving
 g^(m) = (mu_1 ... mu_{m-1}) / mu^{m-1}.
+
+Only this module walks a subtraction chain (``_chain``) or applies the
+herald rule "exactly one of k photons reflects": per draw, per histogram
+and as the chain's survival probability.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -39,6 +44,8 @@ from .photon_stats import (
     ModelKind,
     PhotonModel,
     autocorrelation,
+    pgf_derivative,
+    pmf_values,
 )
 
 
@@ -107,22 +114,26 @@ def _check_closes(model: PhotonModel) -> None:
 
 
 def _one_step_ideal(model: PhotonModel) -> PhotonModel:
-    """Ideal-limit single subtraction G -> G' / mu on the closed family."""
+    """Ideal single subtraction G -> G' / mu; binomial light keeps theta = mu / n."""
     _check_closes(model)
     if model.kind is ModelKind.POISSON:
         return model
+    if model.kind is ModelKind.BINOMIAL_FOCK:
+        n = model.n
+        return PhotonModel.binomial_fock(n - 1, (n - 1) * (model.mu / n))
     a, mu = model.a, model.mu
     return PhotonModel(model.kind, mu * (a + 1.0) / a, a=a + 1.0)
 
 
-def subtract_analytic(model: PhotonModel, m: int) -> SubtractionRecord:
-    """Subtract ``m`` photons in the ideal p -> 0 limit.
+def _chain(model: PhotonModel, p: float | None = None):
+    """Yield ``model``, then the state after each subtraction (ideal when p is None)."""
+    while True:
+        yield model
+        model = _one_step_ideal(model) if p is None else subtract_finite_p(model, p)
 
-    Each step maps (mu, a) -> (mu (a + 1) / a, a + 1); Poisson light is
-    left unchanged.  Binomial (negative-a) states admit at most n - 1
-    subtractions.  Hierarchy models do not close under subtraction and
-    are rejected.
-    """
+
+def _subtract(model: PhotonModel, m: int, p: float | None = None) -> SubtractionRecord:
+    """Record of ``m`` heralded subtractions from ``model`` at ``p``."""
     if m != int(m) or m < 1:
         raise DomainError(f"subtraction count must be a positive integer, got {m}")
     m = int(m)
@@ -131,14 +142,18 @@ def subtract_analytic(model: PhotonModel, m: int) -> SubtractionRecord:
             f"a binomial state with n = {model.n} admits at most {model.n - 1} "
             f"subtractions, got m = {m}"
         )
-    current = model
-    means = []
-    for _ in range(m):
-        current = _one_step_ideal(current)
-        means.append(current.mu)
-    return SubtractionRecord(
-        initial=model, m=m, p=None, step_means=tuple(means), result=current
-    )
+    states = tuple(islice(_chain(model, p), 1, m + 1))
+    return SubtractionRecord(model, m, p, tuple(s.mu for s in states), states[-1])
+
+
+def subtract_analytic(model: PhotonModel, m: int) -> SubtractionRecord:
+    """Subtract ``m`` photons in the ideal p -> 0 limit.
+
+    Each step maps (mu, a) -> (mu (a + 1) / a, a + 1); Poisson light is
+    left unchanged, and binomial light (n, theta = mu / n) -> (n - 1, theta)
+    admits at most n - 1 steps.  Hierarchy models are rejected.
+    """
+    return _subtract(model, m)
 
 
 def subtract_finite_p(model: PhotonModel, p: float) -> PhotonModel:
@@ -189,6 +204,27 @@ def mc_subtract(samples, p: float, rng) -> tuple[np.ndarray, float]:
     kept = reflected == 1
     surviving = counts[kept] - 1
     return surviving.astype(np.int64), float(kept.sum() / counts.size)
+
+
+def _mc_survivor_hist(
+    model: PhotonModel, m: int, pool: int, p: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Photon-number histogram of the ``pool`` source draws surviving m passes."""
+    probs = pmf_values(model)
+    hist = rng.multinomial(pool, probs / probs.sum())
+    k = np.arange(hist.size)
+    herald = k * p * (1.0 - p) ** (k - 1.0)  # exactly one of k photons reflects
+    for _ in range(m):
+        hist = rng.binomial(hist, herald[: hist.size])[1:]
+    return hist
+
+
+def _chain_acceptance(model: PhotonModel, m: int, p: float) -> float:
+    """Probability that one source draw survives m conditioning steps."""
+    acceptance = 1.0
+    for state in islice(_chain(model, p), m):
+        acceptance *= p * pgf_derivative(state, 1, 1.0 - p)
+    return acceptance
 
 
 def autocorr_from_means(

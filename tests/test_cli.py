@@ -6,9 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from photonkit import PhotonModel, load_samples, sample_quadratures, save_samples
+from photonkit import (
+    PhotonModel,
+    SubtractionRecord,
+    load_samples,
+    sample_quadratures,
+    save_samples,
+    subtract_finite_p,
+)
 from photonkit import quadrature
 from photonkit.cli import main
+from photonkit.subtraction import _subtract
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +119,61 @@ def test_subtract_overdrawn_fock_is_model_domain_error(capsys):
     code, _, err = run_cli(capsys, "subtract", "--mu", "2", "--fock", "2", "--m", "2")
     assert code == 4
     assert "at most" in err
+
+
+def _former_finite_p_record(model, m, p):
+    """The record the former finite-p loop of ``photonkit subtract`` built."""
+    current = model
+    step_means = []
+    for _ in range(m):
+        current = subtract_finite_p(current, p)
+        step_means.append(current.mu)
+    return SubtractionRecord(
+        initial=model, m=m, p=p, step_means=tuple(step_means), result=current
+    )
+
+
+@pytest.mark.parametrize(
+    "flags, model, m",
+    [
+        (("--a", "1"), PhotonModel.compound_poisson(3.034, 1.0), 10),
+        (("--a", "0.37"), PhotonModel.compound_poisson(3.034, 0.37), 4),
+        (("--fock", "12"), PhotonModel.binomial_fock(12, 3.034), 11),
+    ],
+)
+@pytest.mark.parametrize("p", ["0.01", "0.05", "0.3"])
+def test_subtract_finite_p_is_the_former_loop_bit_for_bit(capsys, flags, model, m, p):
+    code, out, _ = run_cli(capsys, "subtract", "--mu", "3.034", *flags, "--m", str(m), "--p", p)
+    assert code == 0
+    former = _former_finite_p_record(model, m, float(p))
+    assert json.loads(out) == json.loads(json.dumps(former.to_dict()))
+
+
+def test_finite_p_record_of_poisson_light_is_the_former_loop():
+    # No CLI flag builds Poisson light; the subcommand's one call is checked directly.
+    for p in (0.01, 0.05, 0.3):
+        model = PhotonModel.poisson(3.034)
+        assert _subtract(model, 5, p) == _former_finite_p_record(model, 5, p)
+
+
+def test_subtract_finite_p_overdrawn_fock_is_model_domain_error(capsys):
+    code, _, err = run_cli(
+        capsys, "subtract", "--mu", "2", "--fock", "2", "--m", "2", "--p", "0.1"
+    )
+    assert code == 4
+    assert "at most" in err
+
+
+def test_subtract_finite_p_hierarchy_is_model_domain_error(capsys):
+    code, _, _ = run_cli(
+        capsys, "subtract", "--mu", "3", "--hierarchy", "0.5,2", "--m", "1", "--p", "0.1"
+    )
+    assert code == 4
+
+
+def test_subtract_rejects_nonpositive_m(capsys):
+    code, _, _ = run_cli(capsys, "subtract", "--mu", "3", "--a", "1", "--m", "0", "--p", "0.1")
+    assert code == 2
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonkit import (
+    OrderRangeError,
     PhotonKitError,
     PhotonModel,
     autocorrelation,
@@ -65,7 +67,25 @@ def test_closed_family_formulas_return_or_raise_typed_errors(kind, mu, a, levels
         _typed(lambda: conditional_autocorr(model, m, order)),
     ):
         assert g is _RAISED or math.isfinite(g)
-    _typed(lambda: moments(model))
-    _typed(lambda: quadrature_moments(model))
+    values = _typed(lambda: moments(model))
+    assert values is _RAISED or all(math.isfinite(v) for v in values)
+    quad = _typed(lambda: quadrature_moments(model))
+    assert quad is _RAISED or all(
+        math.isfinite(v) for v in (quad.variance, quad.skewness, quad.excess_kurtosis)
+    )
     _typed(lambda: subtract_analytic(model, m))
     _typed(lambda: subtract_finite_p(model, p))
+
+
+def test_non_finite_moments_raise_order_range_error():
+    with pytest.raises(OrderRangeError):
+        moments(PhotonModel.hierarchy(1.0, (1e-320,)))
+    with pytest.raises(OrderRangeError):
+        moments(PhotonModel.compound_poisson(1.0, 5e-324))
+    for model in (
+        PhotonModel.hierarchy(1e-200, (1e-200,)),
+        PhotonModel.compound_poisson(1e-200, 1e-310),
+        PhotonModel.compound_poisson(1.0, 5e-324),
+    ):
+        with pytest.raises(OrderRangeError):
+            quadrature_moments(model)

@@ -24,7 +24,7 @@ from photonkit import (
     subtract_analytic,
     subtract_finite_p,
 )
-from photonkit import experiment
+from photonkit import experiment, subtraction
 from photonkit.experiment import (
     DEFAULT_SAMPLE_SIZES,
     _chain_acceptance,
@@ -158,6 +158,35 @@ def test_campaign_result_serialisation(small_campaign):
     assert [f["model"]["mu"] for f in payload["fits"]]
     assert payload["config"]["m_max"] == 2
     assert payload["labels"] == ["m=0", "m=1", "m=2"]
+
+
+def test_campaign_ideal_models_are_the_former_per_stage_chain():
+    config = CampaignConfig(m_max=2, sample_sizes=(2_000, 2_000, 2_000), seed=5)
+    result = run_campaign(config)
+    mu, a = config.mu0, config.a0
+    former = [PhotonModel.compound_poisson(mu, a)]
+    for _ in range(config.m_max):
+        mu, a = mu * (a + 1.0) / a, a + 1.0
+        former.append(PhotonModel.compound_poisson(mu, a))
+    assert list(result.ideal_models) == former
+
+
+def test_campaign_stage_without_an_ideal_model_carries_partial_results(monkeypatch):
+    real_step = subtraction._one_step_ideal
+
+    def step_until_a_reaches_2(model):
+        if model.a >= 2.0:
+            raise DomainError("no ideal model past a = 2")
+        return real_step(model)
+
+    monkeypatch.setattr(subtraction, "_one_step_ideal", step_until_a_reaches_2)
+    config = CampaignConfig(m_max=3, sample_sizes=(2_000,) * 4, seed=5)
+    with pytest.raises(CampaignError) as err:
+        run_campaign(config)
+    assert isinstance(err.value.__cause__, DomainError)
+    assert "m=2" in str(err.value)
+    assert err.value.partial["completed"] == ["m=0", "m=1"]
+    assert len(err.value.partial["fits"]) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from photonkit import (
     ImpossibleSubtractionError,
     OrderRangeError,
     PhotonModel,
+    SubtractionRecord,
     UnsupportedModelError,
     autocorr_from_means,
     autocorrelation,
@@ -26,6 +28,7 @@ from photonkit import (
     subtract_analytic,
     subtract_finite_p,
 )
+from photonkit.subtraction import _chain, _chain_acceptance
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +96,108 @@ def test_poisson_state_is_a_fixed_point():
     assert np.max(
         np.abs(pmf_values(record.result, 40) - pmf_values(model, 40))
     ) < 1e-9
+
+
+def test_ideal_subtraction_keeps_a_pure_fock_state_exact():
+    rng = np.random.default_rng(53)
+    ns = np.exp(rng.uniform(math.log(2.0), math.log(2.0**53), 400)).astype(np.int64)
+    for n in [*(int(v) for v in ns), 2, 3, 10**8 + 7, 2**53 - 1, 2**53]:
+        record = subtract_analytic(PhotonModel.binomial_fock(n, float(n)), min(n - 1, 3))
+        for step, state_mu in enumerate(record.step_means, start=1):
+            assert state_mu == float(n - step)
+        assert record.result.n == n - record.m
+
+
+def test_binomial_fock_above_two_to_the_53_is_rejected():
+    assert PhotonModel.binomial_fock(2**53, 1.0).n == 2**53
+    for n in (2**53 + 1, 2**60):
+        with pytest.raises(DomainError):
+            PhotonModel.binomial_fock(n, 1.0)
+    with pytest.raises(DomainError):
+        PhotonModel.from_dict({"kind": "binomial_fock", "mu": 1.0, "a": -(2.0**54)})
+
+
+def test_ideal_steps_are_the_former_expressions_bit_for_bit():
+    for mu in np.geomspace(0.01, 300.0, 9):
+        mu = float(mu)
+        assert subtract_analytic(PhotonModel.poisson(mu), 1).result.mu == mu
+        for a in [*np.geomspace(0.01, 1e6, 9), 1.0, 0.37]:
+            a = float(a)
+            step = subtract_analytic(PhotonModel.compound_poisson(mu, a), 1).result
+            assert step.a == a + 1.0
+            assert step.mu == mu * (a + 1.0) / a
+    # binomial light steps as the finite-p binomial arm at p = 0
+    for n in (2, 3, 7, 40, 1000):
+        for mu in (0.3, 0.5 * n, n - 1e-9, float(n)):
+            step = subtract_analytic(PhotonModel.binomial_fock(n, mu), 1).result
+            assert step.n == n - 1
+            assert step.mu == (n - 1) * (mu / n)
+
+
+def _former_ideal_chain(mu, a, m):
+    """(mu, a) after m ideal steps, as the former per-stage rebuild formed them."""
+    for _ in range(m):
+        mu, a = mu * (a + 1.0) / a, a + 1.0
+    return mu, a
+
+
+def test_chain_walks_the_former_ideal_chain_bit_for_bit():
+    thermal = PhotonModel.compound_poisson(3.034, 1.0)
+    states = list(islice(_chain(thermal), 11))
+    assert states[0] is thermal
+    for m, state in enumerate(states):
+        assert (state.mu, state.a) == _former_ideal_chain(3.034, 1.0, m)
+        if m:
+            assert subtract_analytic(thermal, m).result == state
+
+
+def _former_chain_acceptance(thermal, m, p):
+    acceptance = 1.0
+    model = thermal
+    for _ in range(m):
+        acceptance *= p * pgf_derivative(model, 1, 1.0 - p)
+        model = subtract_finite_p(model, p)
+    return acceptance
+
+
+def test_chain_acceptance_is_the_former_loop_bit_for_bit():
+    for p in (0.01, 0.05, 0.3):
+        for mu in (0.1, 1.0, 3.034, 12.0):
+            for a in (0.5, 1.0, 2.0, 7.5):
+                model = PhotonModel.compound_poisson(mu, a)
+                for m in range(11):
+                    assert _chain_acceptance(model, m, p) == _former_chain_acceptance(
+                        model, m, p
+                    )
+
+
+# ---------------------------------------------------------------------------
+# subtraction records
+
+
+def test_record_validates_its_fields():
+    model = PhotonModel.compound_poisson(3.0, 1.0)
+    step = subtract_analytic(model, 1).result
+    for m in (0, -1, 1.5):
+        with pytest.raises(DomainError):
+            SubtractionRecord(initial=model, m=m, p=None, step_means=(step.mu,), result=step)
+    for p in (0.0, 1.0, -0.1, 1.5):
+        with pytest.raises(DomainError):
+            SubtractionRecord(initial=model, m=1, p=p, step_means=(step.mu,), result=step)
+    for means in ((), (step.mu, step.mu)):
+        with pytest.raises(DomainError):
+            SubtractionRecord(initial=model, m=1, p=None, step_means=means, result=step)
+
+
+def test_record_round_trips_through_its_dict():
+    record = subtract_analytic(PhotonModel.compound_poisson(3.034, 1.0), 3)
+    assert SubtractionRecord.from_dict(record.to_dict()) == record
+    data = {**record.to_dict(), "p": 0.05, "mc_acceptance": [0.1, 0.2, 0.3]}
+    again = SubtractionRecord.from_dict(data)
+    assert again.to_dict() == data
+    assert again.mc_acceptance == (0.1, 0.2, 0.3)
+    with pytest.raises(DomainError):
+        SubtractionRecord.from_dict({**record.to_dict(), "extra": 1})
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +332,19 @@ def test_mc_zero_counts_never_accepted():
     kept, acceptance = mc_subtract(np.zeros(1000, dtype=np.int64), 0.5, rng)
     assert kept.size == 0
     assert acceptance == 0.0
+
+
+def test_mc_empty_pool_warns_and_keeps_nothing():
+    with pytest.warns(RuntimeWarning, match="empty pool"):
+        kept, acceptance = mc_subtract(np.array([], dtype=np.int64), 0.1, np.random.default_rng(0))
+    assert kept.dtype == np.int64
+    assert kept.size == 0
+    assert acceptance == 0.0
+
+
+def test_mc_two_dimensional_counts_are_rejected():
+    with pytest.raises(DomainError):
+        mc_subtract(np.ones((2, 3), dtype=np.int64), 0.01, np.random.default_rng(0))
 
 
 def test_mc_input_validation():
