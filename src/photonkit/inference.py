@@ -43,6 +43,7 @@ from .photon_stats import ModelKind, PhotonModel, fock_cutoff, pmf_values
 from .quadrature import (
     VACUUM_VARIANCE,
     QuadratureSample,
+    _check_x,
     _HermiteRecurrence,
     quadrature_quantiles,
 )
@@ -127,26 +128,26 @@ class _QuadratureLikelihood:
     """Log-likelihood engine with a lazily grown |phi_k(x_i)|^2 matrix."""
 
     def __init__(self, values: np.ndarray):
+        _check_x(values)
         self.x = values
         self.n = values.size
         self._rec = _HermiteRecurrence(values)
         self._buf = np.empty((self.n, 64))
         self._buf[:, 0] = self._rec.phi_squared()
-        self._ncols = 1
 
     def _ensure(self, count: int) -> None:
         if count > LIKELIHOOD_DIM_CAP:
             raise TruncationError(
                 f"likelihood needs Fock dimension {count}, cap is {LIKELIHOOD_DIM_CAP}"
             )
+        rec = self._rec
         if count > self._buf.shape[1]:
             grown = np.empty((self.n, max(count, 2 * self._buf.shape[1])))
-            grown[:, : self._ncols] = self._buf[:, : self._ncols]
+            grown[:, : rec.k + 1] = self._buf[:, : rec.k + 1]
             self._buf = grown
-        while self._ncols < count:
-            self._rec.advance()
-            self._buf[:, self._ncols] = self._rec.phi_squared()
-            self._ncols += 1
+        while rec.k + 1 < count:
+            rec.advance()
+            self._buf[:, rec.k] = rec.phi_squared()
 
     def density(self, model: PhotonModel) -> np.ndarray:
         probs = pmf_values(model)

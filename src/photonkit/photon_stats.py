@@ -323,17 +323,22 @@ def _hierarchy_taylor(model: PhotonModel, count: int, center: float) -> np.ndarr
     """First ``count`` Taylor coefficients of the hierarchy PGF about ``center``.
 
     Built by composing the level maps on truncated power series; exact
-    at the working order up to float rounding.
+    at the working order up to float rounding.  A composition that
+    overflows, as it does once 1/b passes the double range, raises
+    :class:`OrderRangeError` instead of returning inf or nan.
     """
     c = np.zeros(count)
     c[0] = 1.0 - center
     if count > 1:
         c[1] = -1.0
-    for b in model.levels:
-        base = c / b
-        base[0] += 1.0
-        c = b * series_log(base)
-    coeffs = series_exp(-model.mu * c)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for b in model.levels:
+            base = c / b
+            base[0] += 1.0
+            c = b * series_log(base)
+        coeffs = series_exp(-model.mu * c)
+    if not np.all(np.isfinite(coeffs)):
+        raise OrderRangeError("the hierarchy series composition overflows double precision")
     coeffs.setflags(write=False)
     return coeffs
 
@@ -462,10 +467,7 @@ def pgf_eval(model: PhotonModel, z: float) -> float:
     if model.kind is ModelKind.BINOMIAL_FOCK:
         theta = model.mu / model.n
         return (1.0 - theta * (1.0 - z)) ** model.n
-    length = 1.0 - z
-    for b in model.levels:
-        length = b * math.log1p(length / b)
-    return math.exp(-model.mu * length)
+    return _hierarchy_pgf_at(model, z)
 
 
 def pgf_derivative(model: PhotonModel, order: int, z: float) -> float:
@@ -519,11 +521,10 @@ def pgf_derivative(model: PhotonModel, order: int, z: float) -> float:
         factorial = float(math.factorial(order))
     except OverflowError:
         raise OrderRangeError(f"derivative order {order} overflows") from None
-    value = coeffs[order] * factorial
-    if not math.isfinite(value):
-        # inf, or nan from inf - inf in the series composition.
+    value = float(coeffs[order]) * factorial
+    if math.isinf(value):
         raise OrderRangeError(f"G^({order})({z:g}) overflows double precision")
-    return float(value)
+    return value
 
 
 def autocorrelation(model: PhotonModel, m: int) -> float:

@@ -19,10 +19,13 @@ recurrence
 
     phi_{k+1} = x sqrt(2 / (k+1)) phi_k - sqrt(k / (k+1)) phi_{k-1},
 
-never through the Hermite polynomials themselves.  The recurrence runs
-on mantissa/exponent pairs (phi = u * 2^E) so deep-forbidden-region
-values that underflow double precision still recover correctly inside
-the classical region at large k.
+never through the Hermite polynomials themselves.  It runs on
+mantissa/exponent pairs (phi = u * 2^E, E an int32) so values that
+underflow double precision deep in the forbidden region still recover
+inside the classical region at large k.  One rescale rule keeps it in
+range: when |u| passes 2^500, u and v drop by 2^500 into E.  Every route
+accepts |x| <= ``MAX_ABS_X`` only; there, and for k <= ``MAX_FOCK_CUTOFF``,
+the mantissas never fall below 2^-500, so no up-scaling is needed.
 """
 
 from __future__ import annotations
@@ -56,21 +59,25 @@ _LN2 = math.log(2.0)
 
 
 class _HermiteRecurrence:
-    """Scaled three-term recurrence for phi_k over a fixed point set.
+    """Scaled recurrence for phi_k over a fixed point set, from order ``k``.
 
-    Maintains phi_k = u * 2^E and phi_{k-1} = v * 2^E per point, with a
-    shared exponent that is renormalized whenever the mantissas drift
-    out of range, so the iteration neither under- nor overflows.
+    Holds phi_k = u * 2^E and phi_{k-1} = v * 2^E with an int32 E per
+    point.  A point whose |u| passes 2^500 has u, v scaled by 2^-500 and E
+    raised by 500; v is the previous u, already held to 2^500, so u alone
+    is tested.  On |x| <= ``MAX_ABS_X``, E >= -28 854, so 2E fits int32.
     """
 
-    def __init__(self, x: np.ndarray):
+    def __init__(self, x: np.ndarray, k: int = 0):
         x = np.asarray(x, dtype=float)
         self.x = x
         log2_phi0 = -x * x / (2.0 * _LN2)
-        self.exponent = np.floor(log2_phi0)
-        self.u = math.pi**-0.25 * np.exp2(log2_phi0 - self.exponent)
+        exponent = np.floor(log2_phi0)
+        self.u = math.pi**-0.25 * np.exp2(log2_phi0 - exponent)
         self.v = np.zeros_like(x)
+        self.exponent = exponent.astype(np.int32)
         self.k = 0
+        for _ in range(k):
+            self.advance()
 
     def advance(self) -> None:
         k = self.k
@@ -78,29 +85,19 @@ class _HermiteRecurrence:
         self.v = self.u
         self.u = w
         self.k = k + 1
-        scale = np.maximum(np.abs(self.u), np.abs(self.v))
-        high = scale > _RESCALE_UP
+        high = np.abs(w) > _RESCALE_UP
         if high.any():
             self.u[high] *= _RESCALE_DOWN
             self.v[high] *= _RESCALE_DOWN
             self.exponent[high] += _RESCALE_BITS
-        low = (scale < _RESCALE_DOWN) & (scale > 0.0)
-        if low.any():
-            self.u[low] *= _RESCALE_UP
-            self.v[low] *= _RESCALE_UP
-            self.exponent[low] -= _RESCALE_BITS
 
     def phi(self) -> np.ndarray:
         """phi_k at the current order (underflows gracefully to 0)."""
-        return np.ldexp(self.u, self._safe_exponent(self.exponent))
+        return np.ldexp(self.u, self.exponent)
 
     def phi_squared(self) -> np.ndarray:
         """|phi_k|^2 at the current order."""
-        return np.ldexp(self.u * self.u, self._safe_exponent(2.0 * self.exponent))
-
-    @staticmethod
-    def _safe_exponent(e: np.ndarray) -> np.ndarray:
-        return np.clip(e, -2400, 2400).astype(np.int32)
+        return np.ldexp(self.u * self.u, 2 * self.exponent)
 
 
 def _check_x(x: np.ndarray) -> None:
@@ -124,10 +121,7 @@ def hermite_function(k: int, x) -> np.ndarray | float:
     scalar = np.isscalar(x)
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     _check_x(arr)
-    rec = _HermiteRecurrence(arr)
-    for _ in range(k):
-        rec.advance()
-    out = rec.phi()
+    out = _HermiteRecurrence(arr, k).phi()
     return float(out[0]) if scalar else out
 
 
@@ -260,10 +254,7 @@ def _sample_fock(k: int, size: int, rng) -> np.ndarray:
         target = np.zeros(n_prop)
         inside = np.abs(z) <= MAX_ABS_X
         if inside.any():
-            rec = _HermiteRecurrence(z[inside])
-            for _ in range(k):
-                rec.advance()
-            target[inside] = rec.phi_squared()
+            target[inside] = _HermiteRecurrence(z[inside], k).phi_squared()
         proposal = np.exp(-z * z / (2.0 * sigma * sigma)) / (sigma * math.sqrt(2.0 * math.pi))
         ratio = target / (m_k * proposal)
         if ratio.max() > 1.0:

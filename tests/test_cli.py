@@ -373,6 +373,16 @@ def test_fit_subvacuum_data_is_model_domain_error(capsys, tmp_path):
     assert "variance" in err
 
 
+def test_fit_quadrature_past_max_abs_x_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "far.csv"
+    values = np.random.default_rng(5).normal(0.0, 2.0, 2000)
+    values[3] = 300.0
+    path.write_text("x\n" + "\n".join(f"{v:.17g}" for v in values) + "\n")
+    code, _, err = run_cli(capsys, "fit", "--input", str(path), "--method", "mle")
+    assert code == 2
+    assert "must not exceed 200" in err
+
+
 # ---------------------------------------------------------------------------
 # campaign subcommand
 

@@ -174,6 +174,22 @@ def test_fisher_errors_standalone(big_sample):
         fisher_errors(big_sample, PhotonModel.hierarchy(3.0, (0.5, 2.0)))
 
 
+@pytest.mark.parametrize("far", [201.0, -300.0])
+@pytest.mark.parametrize("fit", [
+    mle_fit,
+    fit_hierarchy2,
+    moments_fit,
+    lambda x: fisher_errors(x, PhotonModel.compound_poisson(4.0, 1.0)),
+], ids=["mle_fit", "fit_hierarchy2", "moments_fit", "fisher_errors"])
+def test_likelihood_routes_reject_quadratures_past_max_abs_x(fit, far):
+    # Every Hermite route holds |x| <= MAX_ABS_X; the likelihood used to
+    # run on any finite x and fail later with a misleading error.
+    x = np.random.default_rng(5).normal(0.0, 2.0, 2000)
+    x[17] = far
+    with pytest.raises(DomainError, match="must not exceed 200"):
+        fit(x)
+
+
 # ---------------------------------------------------------------------------
 # goodness of fit
 

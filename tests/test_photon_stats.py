@@ -1,6 +1,7 @@
 """Photon-number statistics: PGF evaluation, pmf extraction, moments, correlations."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy import stats
 
 from photonkit import (
     DomainError,
+    ModelKind,
     OrderRangeError,
     PhotonModel,
     TruncationError,
@@ -219,6 +221,74 @@ def test_pgf_envelope_bounds(mu, a, z):
     model = PhotonModel.compound_poisson(mu, a)
     value = pgf_eval(model, z)
     assert 0.0 < value <= 1.0 + 1e-12
+
+
+def _power_series(probs: np.ndarray, order: int, z: float) -> tuple[float, float]:
+    """sum_k k!/(k - m)! P(k) z^(k - m) and the same sum of absolute terms."""
+    k = np.arange(order, probs.size, dtype=float)
+    falling = np.prod([k - i for i in range(order)], axis=0)
+    terms = falling * probs[order:] * z ** (k - order)
+    return float(terms.sum()), float(np.abs(terms).sum())
+
+
+_POISSON = st.builds(PhotonModel.poisson, st.floats(0.05, 30.0))
+_BINOMIAL = st.integers(1, 60).flatmap(
+    lambda n: st.floats(0.01, 1.0).map(lambda f: PhotonModel.binomial_fock(n, f * n))
+)
+_HIERARCHY = st.floats(0.1, 10.0).flatmap(
+    lambda mu: st.builds(
+        PhotonModel.hierarchy,
+        st.just(mu),
+        st.lists(st.floats(0.5, 50.0).map(lambda a: a / mu), min_size=1, max_size=3).map(tuple),
+    )
+)
+
+
+@given(model=st.one_of(_POISSON, _BINOMIAL, _HIERARCHY), z=st.floats(-1.0, 1.0))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_pgf_eval_is_the_power_series_of_the_pmf(model, z):
+    series, scale = _power_series(pmf_values(model), 0, z)
+    assert pgf_eval(model, z) == pytest.approx(series, abs=1e-8 * scale)
+
+
+@given(model=st.one_of(_POISSON, _BINOMIAL), order=st.integers(1, 6), z=st.floats(-1.0, 1.0))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_pgf_derivative_closed_forms_match_the_pmf(model, order, z):
+    # At z = 1: mu^m g^(m).  Below: the differentiated power series, over
+    # a pmf long enough that its tail is negligible at every order.
+    value = pgf_derivative(model, order, z)
+    if z == 1.0:
+        g = 1.0 if order == 1 else autocorrelation(model, order)
+        assert value == pytest.approx(model.mu**order * g, rel=1e-12)
+    count = model.n + 1 if model.kind is ModelKind.BINOMIAL_FOCK else fock_cutoff(model) + 60
+    series, scale = _power_series(pmf_values(model, count), order, z)
+    assert value == pytest.approx(series, rel=1e-9, abs=1e-9 * scale)
+
+
+def test_pgf_derivative_rejects_out_of_range_argument():
+    for model in (
+        PhotonModel.compound_poisson(3.0, 1.0),
+        PhotonModel.poisson(2.0),
+        PhotonModel.binomial_fock(3, 2.0),
+        PhotonModel.hierarchy(2.0, (0.5, 4.0)),
+    ):
+        for z in (1.2, -1.5, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                pgf_derivative(model, 2, z)
+
+
+def test_hierarchy_series_overflow_is_an_order_range_error_without_warnings():
+    # 1 / b overflows for b = 1e-310: an explicit count used to return
+    # [0, nan, nan, ...] and print RuntimeWarnings on the way.
+    model = PhotonModel.hierarchy(1.0, (1e-310,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OrderRangeError, match="overflows"):
+            pmf_values(model, 5)
+        with pytest.raises(OrderRangeError, match="overflows"):
+            pmf(model, 3)
+        with pytest.raises(OrderRangeError, match="overflows"):
+            autocorrelation(PhotonModel.hierarchy(1e-300, (1e-3, 1e3)), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from photonkit import (
     save_samples,
 )
 from photonkit import quadrature
+from photonkit.photon_stats import MAX_FOCK_CUTOFF
 
 THERMAL = PhotonModel.compound_poisson(3.034, 1.0)
 
@@ -73,6 +74,93 @@ def test_hermite_scalar_and_validation():
     assert hermite_function(0, 0.0) == pytest.approx(np.pi**-0.25, rel=1e-15)
     with pytest.raises(DomainError):
         hermite_function(-1, 0.0)
+
+
+class _TwoSidedRecurrence:
+    """Reference: the Hermite kernel with both rescale branches.
+
+    The arithmetic of the former kernel (float exponent, up- and
+    down-scaling, both mantissas tested, exponents clipped to +-2400 on
+    read), so the one-sided kernel can be pinned against it bit for bit.
+    ``advance`` is split into ``step`` and ``rescale`` so a test can look
+    between them.
+    """
+
+    def __init__(self, x):
+        x = np.asarray(x, dtype=float)
+        self.x = x
+        log2_phi0 = -x * x / (2.0 * math.log(2.0))
+        self.exponent = np.floor(log2_phi0)
+        self.u = math.pi**-0.25 * np.exp2(log2_phi0 - self.exponent)
+        self.v = np.zeros_like(x)
+        self.k = 0
+
+    def step(self):
+        k = self.k
+        w = self.x * math.sqrt(2.0 / (k + 1)) * self.u - math.sqrt(k / (k + 1.0)) * self.v
+        self.v = self.u
+        self.u = w
+        self.k = k + 1
+        return np.maximum(np.abs(self.u), np.abs(self.v))
+
+    def rescale(self, scale):
+        high = scale > 2.0**500
+        if high.any():
+            self.u[high] *= 2.0**-500
+            self.v[high] *= 2.0**-500
+            self.exponent[high] += 500
+        low = (scale < 2.0**-500) & (scale > 0.0)
+        if low.any():
+            self.u[low] *= 2.0**500
+            self.v[low] *= 2.0**500
+            self.exponent[low] -= 500
+
+    def advance(self):
+        self.rescale(self.step())
+
+    def phi(self):
+        return np.ldexp(self.u, np.clip(self.exponent, -2400, 2400).astype(np.int32))
+
+    def phi_squared(self):
+        exponent = np.clip(2.0 * self.exponent, -2400, 2400).astype(np.int32)
+        return np.ldexp(self.u * self.u, exponent)
+
+
+def test_hermite_kernel_matches_the_two_sided_recurrence_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    x = np.concatenate([
+        *(rng.normal(0.0, sd, 1000) for sd in (1.0, 2.5, 5.8, 10.0)),
+        rng.uniform(-quadrature.MAX_ABS_X, quadrature.MAX_ABS_X, 1000),
+        [-quadrature.MAX_ABS_X, quadrature.MAX_ABS_X, 0.0],
+    ])
+    kernel, reference = quadrature._HermiteRecurrence(x), _TwoSidedRecurrence(x)
+    for k in range(MAX_FOCK_CUTOFF + 1):
+        if k:
+            kernel.advance()
+            reference.advance()
+        assert np.array_equal(kernel.phi(), reference.phi()), k
+        assert np.array_equal(kernel.phi_squared(), reference.phi_squared()), k
+        if k in (1, 37, MAX_FOCK_CUTOFF):
+            started = quadrature._HermiteRecurrence(x, k)
+            assert started.k == k
+            assert np.array_equal(started.phi_squared(), reference.phi_squared())
+    assert kernel.exponent.dtype == np.int32
+
+
+def test_hermite_mantissa_bounds_make_one_rescale_rule_enough():
+    # Between step and rescale: max(|u|, |v|) >= 2^-500 means the
+    # up-scaling branch never fires, and |v| <= 2^500 means testing |u|
+    # alone picks the same points as testing max(|u|, |v|).
+    x = np.linspace(-quadrature.MAX_ABS_X, quadrature.MAX_ABS_X, 40001)
+    reference = _TwoSidedRecurrence(x)
+    smallest, largest_v = math.inf, 0.0
+    for _ in range(MAX_FOCK_CUTOFF):
+        scale = reference.step()
+        smallest = min(smallest, float(scale.min()))
+        largest_v = max(largest_v, float(np.abs(reference.v).max()))
+        reference.rescale(scale)
+    assert smallest >= 2.0**-500
+    assert largest_v <= 2.0**500
 
 
 # ---------------------------------------------------------------------------
